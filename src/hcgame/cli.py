@@ -1,8 +1,8 @@
 """Command line front end: value tables, figure data, and verification suites.
 
 Exit codes follow the CI contract: 0 on pass, 1 on verification failure,
-2 on usage errors.  With --jobs 1 all output is byte-reproducible; higher
-job counts only change scheduling of independent tasks, never values.
+2 on usage errors.  All work runs serially, so output is byte-reproducible;
+--jobs (and HCGAME_JOBS) is still accepted and validated but changes nothing.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
-from . import inequalities, nosignalling, quantum
+from . import inequalities, linalg, nosignalling, quantum
 from .classical import brute_force_classical_value, canonical_strategy, classical_value_formula, strategy_value
 from .game import all_questions, chsh_bit_embedding, predicate
 from .quantum import (
@@ -30,6 +29,9 @@ from .quantum import (
 
 DEFAULT_SEED = 42
 VERIFY_SUITES = ("classical", "quantum", "nosignalling", "lemma2", "lemma3", "converse", "all")
+# past about M = 536 the lemma 3 lower bound M * 2^-(2M+1) is no longer a
+# normal double, so its comparisons stop meaning anything
+LEMMA3_MAX_POWER = 510
 
 
 def _fmt(x) -> str:
@@ -42,14 +44,6 @@ def _frac(fr: Fraction) -> str:
     if fr.denominator == 1:
         return str(fr.numerator)
     return f"{fr.numerator}/{fr.denominator}"
-
-
-def _parallel_map(fn, items, jobs: int) -> list:
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _alpha_grid(samples: int) -> np.ndarray:
@@ -113,7 +107,7 @@ def verify_classical(m: int, seed: int) -> dict:
     }
 
 
-def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int, jobs: int = 1) -> dict:
+def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
     grid = _alpha_grid(alpha_samples)
 
     def worst_for_m(m: int) -> tuple[float, float]:
@@ -130,7 +124,7 @@ def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int, jobs: in
             analytic = max(analytic, abs(total / 2 ** m - average_win_analytic(m, float(alpha))))
         return cross, analytic
 
-    results = _parallel_map(worst_for_m, m_values, jobs)
+    results = [worst_for_m(m) for m in m_values]
     worst_cross = max(r[0] for r in results)
     worst_analytic = max(r[1] for r in results)
     checks = [
@@ -227,7 +221,7 @@ def verify_lemma3(m_max: int, seed: int) -> dict:
     }
 
 
-def verify_converse(m_values, alpha_samples: int, tol: float, seed: int, jobs: int = 1) -> dict:
+def verify_converse(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
     grid = _alpha_grid(alpha_samples)
 
     def all_ok(m: int) -> bool:
@@ -238,8 +232,7 @@ def verify_converse(m_values, alpha_samples: int, tol: float, seed: int, jobs: i
                     return False
         return True
 
-    results = _parallel_map(all_ok, m_values, jobs)
-    ok = all(results)
+    ok = all(all_ok(m) for m in m_values)
     return {
         "suite": "converse",
         "seed": seed,
@@ -266,7 +259,7 @@ def verify_chsh_equivalence(seed: int) -> dict:
     }
 
 
-def verify_all(quick: bool, seed: int, jobs: int) -> dict:
+def verify_all(quick: bool, seed: int) -> dict:
     if quick:
         quantum_ms, alpha_samples, trials = range(2, 5), 8, 100
         converse_ms, converse_samples = range(2, 5), 4
@@ -278,13 +271,13 @@ def verify_all(quick: bool, seed: int, jobs: int) -> dict:
     reports = [
         verify_classical(2, seed),
         verify_classical(3, seed),
-        verify_quantum(list(quantum_ms), alpha_samples, 1e-10, seed, jobs),
+        verify_quantum(list(quantum_ms), alpha_samples, 1e-10, seed),
         verify_nosignalling(2, None, seed),
         verify_nosignalling(3, None, seed),
         verify_nosignalling(4, 2, seed),
         verify_lemma2(trials, 8, 6, seed, 1e-9),
         verify_lemma3(lemma3_max, seed),
-        verify_converse(list(converse_ms), converse_samples, 1e-10, seed, jobs),
+        verify_converse(list(converse_ms), converse_samples, 1e-10, seed),
         verify_chsh_equivalence(seed),
     ]
     return {
@@ -304,13 +297,30 @@ def _parse_m_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int
     return lo, hi
 
 
+def _int_range(lo: int, hi: int | None = None):
+    """argparse type for an integer in [lo, hi], unbounded above if hi is None."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or (hi is not None and value > hi):
+            allowed = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must be {allowed}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed echoed in reports")
+    # a string default goes through the type check, so a bad HCGAME_JOBS exits 2
     parser.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("HCGAME_JOBS", "1")),
-        help="worker count for independent tasks (HCGAME_JOBS mirrors this)",
+        type=_int_range(1),
+        default=os.environ.get("HCGAME_JOBS", "1"),
+        help="accepted for compatibility; all work runs serially (HCGAME_JOBS mirrors this)",
     )
 
 
@@ -339,30 +349,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_quantum = suites.add_parser("quantum")
     v_quantum.add_argument("--m", type=int, default=None, help="single m; default sweeps 2..6")
-    v_quantum.add_argument("--alpha-samples", type=int, default=32)
+    v_quantum.add_argument("--alpha-samples", type=_int_range(1), default=32)
     v_quantum.add_argument("--tol", type=float, default=1e-9)
     _add_common(v_quantum)
 
     v_ns = suites.add_parser("nosignalling")
     v_ns.add_argument("--m", type=int, choices=(2, 3, 4), default=2)
-    v_ns.add_argument("--subset-max", type=int, default=None)
+    v_ns.add_argument("--subset-max", type=_int_range(1), default=None, help="at most --m")
     v_ns.add_argument("--export", type=str, default=None, help="write the support as JSON lines")
     _add_common(v_ns)
 
     v_l2 = suites.add_parser("lemma2")
-    v_l2.add_argument("--trials", type=int, default=1000)
+    v_l2.add_argument("--trials", type=_int_range(1), default=1000)
     v_l2.add_argument("--dim", type=int, default=8)
-    v_l2.add_argument("--max-power", type=int, default=6)
+    v_l2.add_argument("--max-power", type=_int_range(1, linalg.MAX_MATRIX_POWER), default=6)
     v_l2.add_argument("--tol", type=float, default=1e-9)
     _add_common(v_l2)
 
     v_l3 = suites.add_parser("lemma3")
-    v_l3.add_argument("--m-max", type=int, default=64)
+    v_l3.add_argument("--m-max", type=_int_range(1, LEMMA3_MAX_POWER), default=64)
     _add_common(v_l3)
 
     v_conv = suites.add_parser("converse")
     v_conv.add_argument("--m", type=int, default=None, help="single m; default sweeps 2..5")
-    v_conv.add_argument("--alpha-samples", type=int, default=16)
+    v_conv.add_argument("--alpha-samples", type=_int_range(1), default=16)
     v_conv.add_argument("--tol", type=float, default=1e-10)
     _add_common(v_conv)
 
@@ -380,7 +390,7 @@ def cmd_values(args, parser) -> int:
         lo, hi = _parse_m_range(args.m_range, parser)
     if not 2 <= lo <= hi <= 64:
         parser.error(f"m range must satisfy 2 <= lo <= hi <= 64, got {lo}:{hi}")
-    rows = _parallel_map(value_row, range(lo, hi + 1), args.jobs)
+    rows = [value_row(m) for m in range(lo, hi + 1)]
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         if args.format == "csv":
@@ -402,7 +412,7 @@ def cmd_values(args, parser) -> int:
 def cmd_figure3(args, parser) -> int:
     if not 2 <= args.m_max <= 64:
         parser.error(f"--m-max must be in [2, 64], got {args.m_max}")
-    rows = _parallel_map(value_row, range(2, args.m_max + 1), args.jobs)
+    rows = [value_row(m) for m in range(2, args.m_max + 1)]
     try:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write("m,classical,quantum,nosignalling\n")
@@ -414,15 +424,17 @@ def cmd_figure3(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    seed, jobs = args.seed, args.jobs
+    seed = args.seed
     if args.suite == "classical":
         report = verify_classical(args.m, seed)
     elif args.suite == "quantum":
         m_values = [args.m] if args.m is not None else list(range(2, 7))
         if any(not 2 <= m <= 6 for m in m_values):
             parser.error("quantum verification supports m in 2..6")
-        report = verify_quantum(m_values, args.alpha_samples, args.tol, seed, jobs)
+        report = verify_quantum(m_values, args.alpha_samples, args.tol, seed)
     elif args.suite == "nosignalling":
+        if args.subset_max is not None and args.subset_max > args.m:
+            parser.error(f"--subset-max must be in [1, {args.m}] for m = {args.m}, got {args.subset_max}")
         report = verify_nosignalling(args.m, args.subset_max, seed, args.export)
     elif args.suite == "lemma2":
         report = verify_lemma2(args.trials, args.dim, args.max_power, seed, args.tol)
@@ -432,9 +444,9 @@ def cmd_verify(args, parser) -> int:
         m_values = [args.m] if args.m is not None else list(range(2, 6))
         if any(not 2 <= m <= 5 for m in m_values):
             parser.error("converse verification supports m in 2..5")
-        report = verify_converse(m_values, args.alpha_samples, args.tol, seed, jobs)
+        report = verify_converse(m_values, args.alpha_samples, args.tol, seed)
     elif args.suite == "all":
-        report = verify_all(args.quick, seed, jobs)
+        report = verify_all(args.quick, seed)
     else:  # pragma: no cover - argparse enforces choices
         parser.error(f"unknown suite {args.suite}")
     print(json.dumps(report, indent=2))
@@ -444,8 +456,6 @@ def cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be positive, got {args.jobs}")
     if args.command == "values":
         return cmd_values(args, parser)
     if args.command == "figure3":

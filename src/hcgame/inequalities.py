@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .quantum import QuantumStrategy, ghz_state, maximize_r, r_excess_scaled
 
 CONSTRAINT_ATOL = 1e-9
 IDENTITY_ATOL = 1e-10
+# 4m edges per strategy; room for every strategy of a default converse sweep
+EDGE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,7 @@ class ConstrainedPair:
             raise ValueError(f"constraint residual {residual:.3e} exceeds {atol}")
 
 
+@lru_cache(maxsize=EDGE_CACHE_SIZE)
 def induced_edge_observable(
     strategy: QuantumStrategy, owner: int, q1: int, qi: int
 ) -> EdgeObservable:
@@ -74,6 +78,10 @@ def induced_edge_observable(
     which partner i >= 2 defines the edge (the pinned vertices land in the
     intersection the same way for every partner), so the edge is labelled
     by the two bits alone.
+
+    Memoised: the observable depends only on the strategy and the edge, and
+    the converse chain asks for the same few edges for every question.  The
+    returned operator is read-only because every caller shares it.
     """
     m = strategy.m
     if owner == 1:
@@ -92,6 +100,7 @@ def induced_edge_observable(
         fa = answer.assignments[owner - 1]
         product = game.product_over_intersection(fa, q1, qi, partner=partner)
         operator = operator + product * (eye + o * observable) / 2.0
+    operator.setflags(write=False)
     return EdgeObservable(owner, q1, qi, operator)
 
 

@@ -118,8 +118,5 @@ def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
-    state = vec.reshape((2,) * n)
-    state = np.moveaxis(state, qubit, 0)
-    flat = g @ state.reshape(2, -1)
-    state = np.moveaxis(flat.reshape((2,) + (2,) * (n - 1)), 0, qubit)
-    return state.reshape(-1)
+    # index bits above the qubit form the batch axis, those below the columns
+    return np.matmul(g, vec.reshape(1 << qubit, 2, -1)).reshape(-1)

@@ -25,6 +25,7 @@ from .linalg import apply_single_qubit
 GHZ_MAX_QUBITS = 12
 GRID_POINTS = 4096
 THETA_INTERVAL_TOL = 1e-12
+THETA_RELATIVE_TOL = 1e-6
 _DIRECT_POWER_MAX = 50
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,38 +111,31 @@ def _outcome_tuple(index: int, m: int) -> tuple[int, ...]:
 def _answer_for_outcome(m: int, q: Bits, o) -> Answer:
     """Facet labels induced by measurement outcomes.
 
-    Player 1 pins (q1,0,...,0) and (q1,1,...,1); player i >= 2 pins the two
-    vertices (x1, qi, ..., qi).  Everything else gets +1.  A repair slot is
-    kept in case the pinned labels ever broke parity, but for these rules
-    they never do.
+    Player 1 labels (q1,0,...,0) with o1 and (q1,1,...,1) with (-1)^q1 o1;
+    player i >= 2 labels the two vertices (x1, qi, ..., qi) with oi.
+    Everything else gets +1, so every player's labels multiply to the
+    parity the game requires.
     """
     if len(q) != m or len(o) != m:
         raise ValueError("question and outcome tuple must both have length m")
-    assignments = []
+    if any(v not in (1, -1) for v in o):
+        raise ValueError("outcomes must be +1 or -1")
     low_half = (1 << (m - 1)) - 1
+    assignments = []
     for player in range(1, m + 1):
-        qb = q[player - 1]
+        qb, sign = q[player - 1], o[player - 1]
         pos = game._facet_position(m, player, qb)
-        size = 1 << (m - 1)
-        values = [1] * size
         if player == 1:
-            enc_low = qb << (m - 1)
-            enc_high = (qb << (m - 1)) | low_half
-            values[pos[enc_low]] = o[0]
-            values[pos[enc_high]] = o[0] if qb == 0 else -o[0]
-            pinned = {pos[enc_low], pos[enc_high]}
+            low = qb << (m - 1)
+            pinned = ((low, sign), (low | low_half, -sign if qb else sign))
         else:
             tail = low_half if qb else 0
-            values[pos[tail]] = o[player - 1]
-            values[pos[(1 << (m - 1)) | tail]] = o[player - 1]
-            pinned = {pos[tail], pos[(1 << (m - 1)) | tail]}
-        fa = FacetAssignment.from_values(m, player, qb, values)
-        if not game.parity_ok(fa):
-            free = [k for k in range(size - 1, -1, -1) if k not in pinned]
-            assert free, "no free vertex left to repair parity"
-            values[free[0]] = -values[free[0]]
-            fa = FacetAssignment.from_values(m, player, qb, values)
-        assignments.append(fa)
+            pinned = ((tail, sign), ((1 << (m - 1)) | tail, sign))
+        mask = 0
+        for vertex, label in pinned:
+            if label == -1:
+                mask |= 1 << pos[vertex]
+        assignments.append(FacetAssignment(m, player, qb, mask))
     return Answer(tuple(assignments))
 
 
@@ -266,11 +260,16 @@ def maximize_r(power: int) -> RMaximum:
     a = float(grid[max(k - 1, 0)])
     b = float(grid[min(k + 1, GRID_POINTS - 1)])
 
+    # Each step shrinks the bracket by _INVPHI.  The maximiser never lies
+    # below 2^-M (near 0 it sits at about 2^(1-M)), so this many steps reach
+    # both the absolute and the relative stopping width.
+    log_width = min(math.log(THETA_INTERVAL_TOL), math.log(THETA_RELATIVE_TOL) - power * math.log(2.0))
+    steps = math.ceil((math.log(b - a) - log_width) / -math.log(_INVPHI))
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(600):
-        if b - a <= THETA_INTERVAL_TOL and b - a <= 1e-6 * b:
+    for _ in range(steps):
+        if b - a <= THETA_INTERVAL_TOL and b - a <= THETA_RELATIVE_TOL * b:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2

@@ -185,6 +185,29 @@ def test_usage_error_exit_codes():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma2", "--max-power", "0"],
+        ["verify", "lemma2", "--max-power", "65"],
+        ["verify", "lemma2", "--trials", "0"],
+        ["verify", "nosignalling", "--m", "4", "--subset-max", "9"],
+        ["verify", "nosignalling", "--m", "2", "--subset-max", "0"],
+        ["verify", "quantum", "--alpha-samples", "0"],
+        ["verify", "converse", "--alpha-samples", "0"],
+        ["verify", "lemma3", "--m-max", "0"],
+        ["verify", "lemma3", "--m-max", "511"],
+        ["verify", "lemma3", "--m-max", "1100"],
+        ["verify", "classical", "--jobs", "many"],
+    ],
+)
+def test_out_of_range_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_jobs_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("HCGAME_JOBS", "2")
     code, out = run_cli(capsys, "values", "--m-range", "2:3")

@@ -73,6 +73,23 @@ def test_edge_observable_owner_validation():
         induced_edge_observable(s, 4, 0, 0)
 
 
+def test_edge_observable_memo_is_read_only_and_matches_fresh():
+    assert induced_edge_observable.cache_info().maxsize is not None
+    s = QuantumStrategy(3, 0.5)
+    for owner in (1, 2, 3):
+        for q1 in (0, 1):
+            for qi in (0, 1):
+                cached = induced_edge_observable(s, owner, q1, qi)
+                assert induced_edge_observable(s, owner, q1, qi) is cached
+                assert not cached.operator.flags.writeable
+                with pytest.raises(ValueError):
+                    cached.operator[0, 0] = 0.0
+                fresh = induced_edge_observable.__wrapped__(s, owner, q1, qi)
+                assert np.array_equal(cached.operator, fresh.operator)
+    other = induced_edge_observable(QuantumStrategy(3, 0.7), 2, 0, 0)
+    assert not np.allclose(other.operator, induced_edge_observable(s, 2, 0, 0).operator)
+
+
 def test_build_S_T_constraint_and_chsh_value():
     for m in (2, 3, 4):
         s = QuantumStrategy(m, math.pi / 4)
@@ -243,6 +260,13 @@ def test_lemma3_small_values():
 def test_lemma3_sweep():
     for power in range(1, 65):
         assert verify_lemma3(power)
+
+
+@pytest.mark.parametrize("power", [431, 432, 450, 500, 510])
+def test_lemma3_large_powers(power):
+    # the maximiser sits near 2^(1-M); the golden-section search must run
+    # long enough to pin it to its relative width
+    assert verify_lemma3(power)
 
 
 def test_relaxed_win_bound_matches_win_probability():

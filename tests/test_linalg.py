@@ -117,10 +117,20 @@ def test_num_qubits_and_norm():
 
 def test_apply_single_qubit_matches_dense():
     rng = np.random.default_rng(5)
-    psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    psi /= np.linalg.norm(psi)
-    g = z_theta(0.4)
-    dense = tensor(tensor(np.eye(2), g), np.eye(2))
-    assert np.allclose(apply_single_qubit(psi, g, 1), dense @ psi, atol=1e-12)
+    # a reflection, a non-unitary projector and a generic complex matrix
+    gates = (
+        z_theta(0.4),
+        (np.eye(2) - z_theta(1.1)) / 2.0,
+        rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
+    )
+    for n in range(1, 6):
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        psi /= np.linalg.norm(psi)
+        for g in gates:
+            for qubit in range(n):
+                dense = np.kron(np.kron(np.eye(1 << qubit), g), np.eye(1 << (n - qubit - 1)))
+                assert np.allclose(apply_single_qubit(psi, g, qubit), dense @ psi, atol=1e-12)
+        with pytest.raises(ValueError):
+            apply_single_qubit(psi, gates[0], n)
     with pytest.raises(ValueError):
-        apply_single_qubit(psi, g, 3)
+        apply_single_qubit(psi, np.eye(3), 0)

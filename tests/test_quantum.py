@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hcgame.game import all_questions, parity_ok, predicate
+from hcgame import game
+from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
 from hcgame.linalg import is_reflection
 from hcgame.quantum import (
     QuantumStrategy,
+    _answer_for_outcome,
     average_win_analytic,
     ghz_state,
     maximize_r,
@@ -96,7 +98,7 @@ def test_outcome_to_answer_parity_always_holds():
 
 
 def test_outcome_to_answer_pins_only_special_vertices():
-    # the pinned labels already satisfy parity, so the repair slot stays idle
+    # player 1 pins (q1,0,...,0) and (q1,1,...,1), player i pins (x1,qi,...,qi)
     for m in (2, 3, 4):
         s = QuantumStrategy(m, 0.9)
         low = (1 << (m - 1)) - 1
@@ -116,6 +118,34 @@ def test_outcome_to_answer_pins_only_special_vertices():
                     for v in fa.vertices():
                         if v not in pinned:
                             assert fa.value_at(v) == 1
+
+
+def _pinned_values_answer(m, q, o):
+    """Labels from a +/-1 list per player, as the pinning rule states them."""
+    low_half = (1 << (m - 1)) - 1
+    assignments = []
+    for player in range(1, m + 1):
+        qb = q[player - 1]
+        pos = game._facet_position(m, player, qb)
+        values = [1] * (1 << (m - 1))
+        if player == 1:
+            values[pos[qb << (m - 1)]] = o[0]
+            values[pos[(qb << (m - 1)) | low_half]] = o[0] if qb == 0 else -o[0]
+        else:
+            tail = low_half if qb else 0
+            values[pos[tail]] = o[player - 1]
+            values[pos[(1 << (m - 1)) | tail]] = o[player - 1]
+        assignments.append(FacetAssignment.from_values(m, player, qb, values))
+    return Answer(tuple(assignments))
+
+
+def test_answer_masks_match_pinned_values():
+    for m in (2, 3, 4, 5):
+        for q in all_questions(m):
+            for o in _outcomes(m):
+                assert _answer_for_outcome(m, q, o) == _pinned_values_answer(m, q, o)
+    with pytest.raises(ValueError):
+        _answer_for_outcome(2, (0, 0), (1, 0))
 
 
 def test_outcome_to_answer_m2_example():
