@@ -16,8 +16,9 @@ from .game import (
     Answer,
     FacetAssignment,
     all_questions,
-    answer_from_masks,
+    batch_predicate,
     predicate,
+    required_parity,
     validate_dimension,
 )
 
@@ -80,8 +81,35 @@ def _assignment_masks(m: int, player: int, question_bit: int, restrict_parity: b
     size = 1 << (m - 1)
     if not restrict_parity:
         return list(range(1 << size))
-    required = question_bit if player == 1 else 0
+    required = required_parity(player, question_bit)
     return [mask for mask in range(1 << size) if mask.bit_count() & 1 == required]
+
+
+def _win_totals(m: int, restrict_parity: bool) -> tuple[list, np.ndarray]:
+    """Candidate masks per (player, bit) and the number of questions won by
+    every strategy on the grid they span.
+
+    The grid has one axis per (player 1 bit 0, player 1 bit 1, player 2 bit
+    0, ...).  Each question's win table covers only the labellings that
+    question uses (one batched predicate call over every combination) and
+    is broadcast over the full grid, so no strategy tuple is materialised.
+    """
+    candidates = [
+        [_assignment_masks(m, player, bit, restrict_parity) for bit in (0, 1)]
+        for player in range(1, m + 1)
+    ]
+    shape = tuple(len(candidates[p][b]) for p in range(m) for b in (0, 1))
+    totals = np.zeros(shape, dtype=np.int32)
+    for q in all_questions(m):
+        used = [candidates[i][q[i]] for i in range(m)]
+        grids = np.meshgrid(*used, indexing="ij")
+        masks = np.stack([g.ravel() for g in grids], axis=1)
+        table = batch_predicate(m, q, masks).astype(np.int32).reshape(grids[0].shape)
+        view = [1] * len(shape)
+        for i in range(m):
+            view[2 * i + q[i]] = table.shape[i]
+        totals += table.reshape(view)
+    return candidates, totals
 
 
 def brute_force_classical_value(
@@ -92,37 +120,14 @@ def brute_force_classical_value(
     With ``restrict_parity`` the search covers only labellings that satisfy
     the parity rule (an answer violating parity loses outright, so nothing
     is lost).  Ties break towards the smallest canonical mask tuple.
-
-    The per-question winning table is computed once per question over the
-    candidate labellings actually used by that question, then broadcast
-    over the full strategy grid, so no strategy tuple is ever materialised.
     """
     if m not in (2, 3):
         raise ValueError(f"exhaustive search is supported for m in {{2, 3}}, got {m}")
     if m == 3 and not restrict_parity:
         raise ValueError("the m=3 search requires the parity restriction")
 
-    candidates = [
-        [_assignment_masks(m, player, bit, restrict_parity) for bit in (0, 1)]
-        for player in range(1, m + 1)
-    ]
-    # strategy grid axes: (player 1 bit 0, player 1 bit 1, player 2 bit 0, ...)
-    shape = tuple(len(candidates[p][b]) for p in range(m) for b in (0, 1))
-    totals = np.zeros(shape, dtype=np.int32)
-
-    for q in all_questions(m):
-        used = [candidates[i][q[i]] for i in range(m)]
-        table = np.zeros(tuple(len(u) for u in used), dtype=np.int32)
-        for combo in np.ndindex(*table.shape):
-            masks = tuple(used[i][combo[i]] for i in range(m))
-            table[combo] = predicate(answer_from_masks(m, q, masks), q)
-        view = [1] * len(shape)
-        for i in range(m):
-            view[2 * i + q[i]] = table.shape[i]
-        totals += table.reshape(view)
-
-    flat = int(np.argmax(totals))
-    best = np.unravel_index(flat, shape)
+    candidates, totals = _win_totals(m, restrict_parity)
+    best = np.unravel_index(int(np.argmax(totals)), totals.shape)
     wins = int(totals[best])
     choices = tuple(
         (

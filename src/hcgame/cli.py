@@ -113,12 +113,14 @@ def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
     def worst_for_m(m: int) -> tuple[float, float]:
         cross = 0.0
         analytic = 0.0
+        questions = list(all_questions(m))
         for alpha in grid:
             strategy = QuantumStrategy(m, float(alpha))
+            sims = quantum.winning_probabilities_simulated(strategy, questions).tolist()
+            ops = quantum.winning_probabilities_operator(strategy, questions).tolist()
             total = 0.0
-            for q in all_questions(m):
-                sim = quantum.winning_probability_simulated(strategy, q)
-                op = quantum.winning_probability_operator(strategy, q)
+            # summed in question order, one alpha at a time, as the report's digits depend on it
+            for sim, op in zip(sims, ops):
                 cross = max(cross, abs(sim - op))
                 total += sim
             analytic = max(analytic, abs(total / 2 ** m - average_win_analytic(m, float(alpha))))
@@ -182,7 +184,7 @@ def verify_nosignalling(m: int, subset_max: int | None, seed: int, export: str |
 
 def verify_lemma2(trials: int, dim: int, max_power: int, seed: int, tol: float) -> dict:
     report = inequalities.run_lemma2_trials(
-        trials, max_dim_half=max(dim // 2, 1), max_power=max_power, seed=seed, tol=tol
+        trials, max_dim_half=dim // 2, max_power=max_power, seed=seed, tol=tol
     )
     tight = inequalities.lemma2_lhs(
         inequalities.chsh_style_pair(
@@ -313,6 +315,30 @@ def _int_range(lo: int, hi: int | None = None):
     return parse
 
 
+def _even_int_range(lo: int, hi: int):
+    """argparse type for an even integer in [lo, hi]."""
+    in_range = _int_range(lo, hi)
+
+    def parse(text: str) -> int:
+        value = in_range(text)
+        if value % 2:
+            raise argparse.ArgumentTypeError(f"must be even, got {value}")
+        return value
+
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for a finite, non-negative tolerance."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed echoed in reports")
     # a string default goes through the type check, so a bad HCGAME_JOBS exits 2
@@ -350,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_quantum = suites.add_parser("quantum")
     v_quantum.add_argument("--m", type=int, default=None, help="single m; default sweeps 2..6")
     v_quantum.add_argument("--alpha-samples", type=_int_range(1), default=32)
-    v_quantum.add_argument("--tol", type=float, default=1e-9)
+    v_quantum.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(v_quantum)
 
     v_ns = suites.add_parser("nosignalling")
@@ -361,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_l2 = suites.add_parser("lemma2")
     v_l2.add_argument("--trials", type=_int_range(1), default=1000)
-    v_l2.add_argument("--dim", type=int, default=8)
+    v_l2.add_argument("--dim", type=_even_int_range(2, linalg.MAX_MATRIX_DIM), default=8)
     v_l2.add_argument("--max-power", type=_int_range(1, linalg.MAX_MATRIX_POWER), default=6)
-    v_l2.add_argument("--tol", type=float, default=1e-9)
+    v_l2.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_common(v_l2)
 
     v_l3 = suites.add_parser("lemma3")
@@ -373,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     v_conv = suites.add_parser("converse")
     v_conv.add_argument("--m", type=int, default=None, help="single m; default sweeps 2..5")
     v_conv.add_argument("--alpha-samples", type=_int_range(1), default=16)
-    v_conv.add_argument("--tol", type=float, default=1e-10)
+    v_conv.add_argument("--tol", type=_tolerance, default=1e-10)
     _add_common(v_conv)
 
     v_all = suites.add_parser("all")

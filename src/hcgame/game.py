@@ -24,6 +24,8 @@ Bits = tuple[int, ...]
 MIN_DIMENSION = 2
 MAX_DIMENSION = 24
 ENUMERATION_MAX_DIMENSION = 3
+# label-grid cells (bytes) the batched win rule works on at once
+_GRID_CELLS = 1 << 22
 
 
 def validate_dimension(m: int) -> None:
@@ -68,13 +70,6 @@ def _facet_indices(m: int, i: int, q: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _facet_position(m: int, i: int, q: int) -> dict[int, int]:
     return {e: k for k, e in enumerate(_facet_indices(m, i, q))}
-
-
-@lru_cache(maxsize=None)
-def _facet_indices_array(m: int, i: int, q: int) -> np.ndarray:
-    arr = np.array(_facet_indices(m, i, q), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
 
 
 @lru_cache(maxsize=None)
@@ -208,31 +203,96 @@ def _check_question(answer: Answer, q: Bits) -> None:
         raise ValueError(f"answer was given for question {answer.question}, not {tuple(q)}")
 
 
+def required_parity(player: int, question_bit: int) -> int:
+    """Number of -1 labels mod 2 the player must give: q1 for player 1, else 0."""
+    return question_bit if player == 1 else 0
+
+
 def parity_ok(assignment: FacetAssignment) -> bool:
     """Product of labels is (-1)^q1 for player 1 and +1 for everyone else."""
-    required = assignment.question_bit if assignment.player == 1 else 0
+    required = required_parity(assignment.player, assignment.question_bit)
     return (assignment.mask.bit_count() & 1) == required
+
+
+def _mask_bits(masks: np.ndarray, size: int) -> np.ndarray:
+    """Unpack an integer array of facet masks to its bits along a new last
+    axis of length size (bit k of a mask is the label of facet vertex k)."""
+    if masks.dtype.kind != "u" and (masks < 0).any():
+        raise ValueError("masks must be non-negative")
+    if size <= 64:
+        wide = masks.astype(np.uint64)
+        if size < 64 and (wide >> np.uint64(size)).any():
+            raise ValueError(f"mask out of range for facet of size {size}")
+        return ((wide[..., None] >> np.arange(size, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
+    # facets past 64 vertices (m >= 8) only fit Python integers
+    try:
+        raw = b"".join(int(mask).to_bytes(size // 8, "little") for mask in masks.ravel())
+    except OverflowError:
+        raise ValueError(f"mask out of range for facet of size {size}") from None
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(masks.shape + (size,))
+
+
+def _rule_checks(m: int, q: Bits, masks) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of the win rule for N answers to one question.
+
+    ``masks`` is an (N, m) integer array, row n holding the facet masks of
+    answer n (column i for player i+1); masks wider than 64 bits need an
+    object array of Python integers.  Returns two length-N boolean arrays:
+    every player's parity holds (a popcount per mask), and all players
+    agree on every vertex their facets share (checked vertex by vertex on
+    an (N, 2^m) label grid, not through intersection products).
+    """
+    validate_dimension(m)
+    q = tuple(q)
+    if len(q) != m:
+        raise ValueError(f"question must have {m} bits, got {len(q)}")
+    for b in q:
+        _validate_bit(b)
+    masks = np.asarray(masks)
+    if masks.dtype.kind not in "iuO" or masks.ndim != 2 or masks.shape[1] != m:
+        raise ValueError(f"expected an (N, {m}) integer array of masks, got {masks.dtype} {masks.shape}")
+    required = [required_parity(i + 1, q[i]) for i in range(m)]
+    # rows go through in chunks so the label grid stays near _GRID_CELLS bytes
+    step = max(1, _GRID_CELLS // (m << m))
+    parity, agree = [], []
+    for start in range(0, max(masks.shape[0], 1), step):
+        bits = _mask_bits(masks[start : start + step], 1 << (m - 1))
+        n = bits.shape[0]
+        parity.append(((bits.sum(axis=2, dtype=np.int64) & 1) == required).all(axis=1))
+        # grid[n, i, e]: 0 if vertex e is off player i+1's facet, 1 for a +1
+        # label, 2 for a -1 label; OR over players gives 3 where two disagree
+        grid = np.zeros((n, m, 1 << m), dtype=np.uint8)
+        for i in range(m):
+            # facet vertices in increasing index order are the cube with
+            # axis i fixed to q_i, so facet bit k lands by a strided copy
+            high, low = 1 << i, 1 << (m - 1 - i)
+            cube = grid.reshape(n, m, high, 2, low)
+            cube[:, i, :, q[i], :] = bits[:, i].reshape(n, high, low) + 1
+        agree.append((np.bitwise_or.reduce(grid, axis=1) != 3).all(axis=1))
+    return np.concatenate(parity), np.concatenate(agree)
+
+
+def batch_predicate(m: int, q: Bits, masks) -> np.ndarray:
+    """Win bits (uint8) of N answers to question q, given as an (N, m) mask array."""
+    parity, agree = _rule_checks(m, q, masks)
+    return (parity & agree).astype(np.uint8)
+
+
+def _one_row(answer: Answer) -> np.ndarray:
+    return np.array([[fa.mask for fa in answer.assignments]], dtype=object)
 
 
 def consistency_ok(answer: Answer, q: Bits) -> bool:
     """All pairs of players agree on every vertex their facets share."""
     _check_question(answer, q)
-    m = answer.m
-    grid = np.zeros((m, 1 << m), dtype=np.int8)
-    for fa in answer.assignments:
-        idx = _facet_indices_array(m, fa.player, fa.question_bit)
-        grid[fa.player - 1, idx] = fa.values_array
-    has_plus = (grid == 1).any(axis=0)
-    has_minus = (grid == -1).any(axis=0)
-    return not bool((has_plus & has_minus).any())
+    return bool(_rule_checks(answer.m, q, _one_row(answer))[1][0])
 
 
 def predicate(answer: Answer, q: Bits) -> int:
     """1 iff every player's parity holds and all shared vertices agree."""
     _check_question(answer, q)
-    if not all(parity_ok(fa) for fa in answer.assignments):
-        return 0
-    return int(consistency_ok(answer, q))
+    return int(batch_predicate(answer.m, q, _one_row(answer))[0])
 
 
 def product_over_intersection(

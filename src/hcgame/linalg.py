@@ -43,7 +43,8 @@ def tensor(a, b) -> np.ndarray:
     entries = (a.shape[0] * b.shape[0]) ** 2
     if entries > MAX_TENSOR_ENTRIES:
         raise ValueError(f"tensor product would hold {entries} entries, cap is {MAX_TENSOR_ENTRIES}")
-    return np.kron(a, b)
+    # the same entrywise products as np.kron, without its generic-shape set-up
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def expectation(matrix, psi, imag_atol: float = IMAG_RESIDUE_ATOL) -> float:
@@ -91,15 +92,17 @@ def is_reflection(matrix, atol: float = REFLECTION_ATOL) -> bool:
     return bool(np.max(np.abs(arr @ arr - eye)) <= atol)
 
 
-def num_qubits(psi) -> int:
-    vec = np.asarray(psi).reshape(-1)
-    n = vec.shape[0]
+def _qubits_for_length(n: int) -> int:
     if n > MAX_STATE_AMPLITUDES:
         raise ValueError(f"state of {n} amplitudes exceeds cap {MAX_STATE_AMPLITUDES}")
     qubits = n.bit_length() - 1
     if n != 1 << qubits or n < 2:
         raise ValueError(f"state length {n} is not a power of two")
     return qubits
+
+
+def num_qubits(psi) -> int:
+    return _qubits_for_length(np.asarray(psi).size)
 
 
 def check_unit(psi, atol: float = UNIT_NORM_ATOL) -> None:
@@ -110,13 +113,24 @@ def check_unit(psi, atol: float = UNIT_NORM_ATOL) -> None:
 
 def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     """Apply a 2x2 operator to one qubit of a statevector (qubit 0 is the
-    most significant bit of the amplitude index)."""
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    n = num_qubits(vec)
+    most significant bit of the amplitude index).
+
+    ``psi`` may also be an (N, 2^n) stack of states, one per row; ``gate``
+    is then either one 2x2 operator for every row or an (N, 2, 2) stack
+    with one operator per row.
+    """
+    vec = np.asarray(psi, dtype=complex)
+    if vec.ndim not in (1, 2) or vec.size == 0:
+        raise ValueError(f"expected a state or a non-empty stack of states, got shape {vec.shape}")
+    n = _qubits_for_length(vec.shape[-1])
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     g = np.asarray(gate, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate, got shape {g.shape}")
-    # index bits above the qubit form the batch axis, those below the columns
-    return np.matmul(g, vec.reshape(1 << qubit, 2, -1)).reshape(-1)
+    # index bits above the qubit form a batch axis, those below the columns
+    columns = 1 << (n - 1 - qubit)
+    if g.shape == (2, 2):
+        return np.matmul(g, vec.reshape(-1, 2, columns)).reshape(vec.shape)
+    if vec.ndim == 2 and g.shape == (vec.shape[0], 2, 2):
+        out = np.matmul(g[:, None], vec.reshape(vec.shape[0], -1, 2, columns))
+        return out.reshape(vec.shape)
+    raise ValueError(f"expected a 2x2 gate or one per state, got shape {g.shape}")

@@ -21,7 +21,7 @@ from .game import (
     FacetAssignment,
     all_questions,
     answer_from_masks,
-    predicate,
+    batch_predicate,
     _facet_indices,
     _facet_position,
 )
@@ -152,15 +152,12 @@ def verify_no_signalling(corr: SparseCorrelation, subset_size: int) -> bool:
 
 
 def ns_winning_probability(corr: SparseCorrelation) -> Fraction:
-    """Exact average winning probability over uniform questions."""
-    m = corr.m
-    total = Fraction(0)
-    per_question = Fraction(1, 2 ** m)
-    for q, entries in corr.support.items():
-        for masks in entries:
-            answer = answer_from_masks(m, q, masks)
-            total += per_question * corr.weight * predicate(answer, q)
-    return total
+    """Exact average winning probability over uniform questions: every
+    support answer carries the same weight, so this counts winning entries."""
+    wins = sum(
+        int(batch_predicate(corr.m, q, entries).sum()) for q, entries in corr.support.items()
+    )
+    return Fraction(wins, 2 ** corr.m) * corr.weight
 
 
 def answer_encoding(m: int, masks: MaskTuple) -> int:

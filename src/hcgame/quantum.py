@@ -28,6 +28,11 @@ THETA_INTERVAL_TOL = 1e-12
 THETA_RELATIVE_TOL = 1e-6
 _DIRECT_POWER_MAX = 50
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# one table per question: every question of the largest simulable m fits, so
+# a sweep over alphas builds each table once
+WIN_TABLE_CACHE_SIZE = 1 << GHZ_MAX_QUBITS
+# lemma 3 asks for exponents up to 510
+MAXIMIZE_R_CACHE_SIZE = 1024
 
 
 def ghz_state(m: int) -> np.ndarray:
@@ -39,10 +44,14 @@ def ghz_state(m: int) -> np.ndarray:
     return psi
 
 
+def _z_entries(theta: float) -> list[list[float]]:
+    c, s = math.cos(theta), math.sin(theta)
+    return [[c, s], [s, -c]]
+
+
 def z_theta(theta: float) -> np.ndarray:
     """[[cos t, sin t], [sin t, -cos t]]: real symmetric, squares to I."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return np.array(_z_entries(theta), dtype=complex)
 
 
 def measurement_angle(player: int, question_bit: int, alpha: float) -> float:
@@ -87,55 +96,78 @@ def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
     return max(float(value.real), 0.0)
 
 
-def outcome_distribution(strategy: QuantumStrategy, q: Bits) -> np.ndarray:
-    """All 2^m outcome probabilities at once.
+def _question_rows(m: int, questions) -> np.ndarray:
+    """Questions as an (N, m) array of bits."""
+    rows = np.array(questions, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != m:
+        raise ValueError(f"expected one or more questions of {m} bits, got shape {rows.shape}")
+    if (rows & ~1).any():
+        raise ValueError("question bits must be 0 or 1")
+    return rows
+
+
+def _basis_entries(theta: float) -> list[list[float]]:
+    """Rotation taking Z(theta)'s eigenbasis to the computational basis."""
+    half = theta / 2.0
+    c, s = math.cos(half), math.sin(half)
+    return [[c, s], [-s, c]]
+
+
+def _player_gates(strategy: QuantumStrategy, player: int, rows: np.ndarray, entries) -> np.ndarray:
+    """entries(angle) at the player's measurement angle for each row's question
+    bit, as an (N, 2, 2) stack."""
+    pair = [entries(strategy.angle(player, bit)) for bit in (0, 1)]
+    return np.array(pair, dtype=complex)[rows[:, player - 1]]
+
+
+def outcome_distributions(strategy: QuantumStrategy, questions) -> np.ndarray:
+    """All 2^m outcome probabilities for each of N questions, as an (N, 2^m) array.
 
     Each qubit is rotated into the eigenbasis of its observable, so index
     bit k = 0 corresponds to outcome +1 for player k+1 (big-endian, same
     convention as vertex encodings).
     """
     m = strategy.m
-    psi = ghz_state(m)
+    rows = _question_rows(m, questions)
+    psi = np.tile(ghz_state(m), (rows.shape[0], 1))
     for player in range(1, m + 1):
-        half = strategy.angle(player, q[player - 1]) / 2.0
-        c, s = math.cos(half), math.sin(half)
-        basis = np.array([[c, s], [-s, c]], dtype=complex)
-        psi = apply_single_qubit(psi, basis, player - 1)
+        gates = _player_gates(strategy, player, rows, _basis_entries)
+        psi = apply_single_qubit(psi, gates, player - 1)
     return np.abs(psi) ** 2
 
 
-def _outcome_tuple(index: int, m: int) -> tuple[int, ...]:
-    return tuple(1 - 2 * ((index >> (m - k)) & 1) for k in range(1, m + 1))
+def outcome_distribution(strategy: QuantumStrategy, q: Bits) -> np.ndarray:
+    """All 2^m outcome probabilities for one question."""
+    return outcome_distributions(strategy, [q])[0]
+
+
+def _pinned_mask(m: int, player: int, qb: int, minus):
+    """Facet mask a player's outcome induces, for ``minus`` = 1 where the
+    outcome is -1 and 0 where it is +1 (an int, or an unsigned or object
+    array of them).  Player 1 labels (q1,0,...,0) with o1 and (q1,1,...,1)
+    with (-1)^q1 o1; player i >= 2 labels (0,qi,...,qi) and (1,qi,...,qi)
+    with oi.  Every other vertex gets +1, so the parity rule always holds."""
+    low_half = (1 << (m - 1)) - 1
+    pos = game._facet_position(m, player, qb)
+    if player == 1:
+        low = qb << (m - 1)
+        first, second, flip = pos[low], pos[low | low_half], int(qb)
+    else:
+        tail = low_half if qb else 0
+        first, second, flip = pos[tail], pos[(1 << (m - 1)) | tail], 0
+    return minus * (1 << first) | (minus ^ flip) * (1 << second)
 
 
 def _answer_for_outcome(m: int, q: Bits, o) -> Answer:
-    """Facet labels induced by measurement outcomes.
-
-    Player 1 labels (q1,0,...,0) with o1 and (q1,1,...,1) with (-1)^q1 o1;
-    player i >= 2 labels the two vertices (x1, qi, ..., qi) with oi.
-    Everything else gets +1, so every player's labels multiply to the
-    parity the game requires.
-    """
+    """Facet labels induced by measurement outcomes (see :func:`_pinned_mask`)."""
     if len(q) != m or len(o) != m:
         raise ValueError("question and outcome tuple must both have length m")
     if any(v not in (1, -1) for v in o):
         raise ValueError("outcomes must be +1 or -1")
-    low_half = (1 << (m - 1)) - 1
     assignments = []
     for player in range(1, m + 1):
-        qb, sign = q[player - 1], o[player - 1]
-        pos = game._facet_position(m, player, qb)
-        if player == 1:
-            low = qb << (m - 1)
-            pinned = ((low, sign), (low | low_half, -sign if qb else sign))
-        else:
-            tail = low_half if qb else 0
-            pinned = ((tail, sign), ((1 << (m - 1)) | tail, sign))
-        mask = 0
-        for vertex, label in pinned:
-            if label == -1:
-                mask |= 1 << pos[vertex]
-        assignments.append(FacetAssignment(m, player, qb, mask))
+        qb, minus = q[player - 1], int(o[player - 1] == -1)
+        assignments.append(FacetAssignment(m, player, qb, _pinned_mask(m, player, qb, minus)))
     return Answer(tuple(assignments))
 
 
@@ -143,45 +175,65 @@ def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
     return _answer_for_outcome(strategy.m, tuple(q), tuple(o))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WIN_TABLE_CACHE_SIZE)
 def _win_table(m: int, q: Bits) -> np.ndarray:
-    table = np.zeros(1 << m, dtype=np.uint8)
-    for index in range(1 << m):
-        o = _outcome_tuple(index, m)
-        answer = _answer_for_outcome(m, q, o)
-        table[index] = game.predicate(answer, q)
+    """Win bit of the answer :func:`_answer_for_outcome` gives each of the
+    2^m outcomes (indexed as in :func:`outcome_distributions`)."""
+    outcomes = np.arange(1 << m, dtype=np.int64)
+    # a 64-vertex facet (m = 7) needs the top bit of uint64; larger facets
+    # need Python-integer masks
+    dtype = np.uint64 if m <= 7 else object
+    masks = np.empty((1 << m, m), dtype=dtype)
+    for player in range(1, m + 1):
+        minus = ((outcomes >> (m - player)) & 1).astype(dtype)
+        masks[:, player - 1] = _pinned_mask(m, player, q[player - 1], minus)
+    table = game.batch_predicate(m, q, masks)
     table.setflags(write=False)
     return table
 
 
-def winning_probability_simulated(strategy: QuantumStrategy, q: Bits) -> float:
-    """Sum over outcome tuples of outcome probability times the game predicate."""
-    if strategy.m > GHZ_MAX_QUBITS:
-        raise ValueError(f"simulation supports m <= {GHZ_MAX_QUBITS}")
-    q = tuple(q)
-    dist = outcome_distribution(strategy, q)
-    return float(dist @ _win_table(strategy.m, q))
-
-
-def winning_probability_operator(strategy: QuantumStrategy, q: Bits) -> float:
-    """The same probability through the product-operator identity
-    <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
-    m = strategy.m
+def _check_simulable(m: int) -> None:
     if m > GHZ_MAX_QUBITS:
         raise ValueError(f"simulation supports m <= {GHZ_MAX_QUBITS}")
-    q = tuple(q)
+
+
+def winning_probabilities_simulated(strategy: QuantumStrategy, questions) -> np.ndarray:
+    """Per question, the sum over outcome tuples of outcome probability times
+    the game predicate."""
+    _check_simulable(strategy.m)
+    questions = [tuple(q) for q in questions]
+    dists = outcome_distributions(strategy, questions)
+    return np.array([float(dist @ _win_table(strategy.m, q)) for dist, q in zip(dists, questions)])
+
+
+def winning_probability_simulated(strategy: QuantumStrategy, q: Bits) -> float:
+    """Winning probability on one question, by simulation."""
+    return float(winning_probabilities_simulated(strategy, [q])[0])
+
+
+def winning_probabilities_operator(strategy: QuantumStrategy, questions) -> np.ndarray:
+    """The same probabilities through the product-operator identity
+    <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
+    m = strategy.m
+    _check_simulable(m)
+    rows = _question_rows(m, questions)
     psi = ghz_state(m)
-    first = z_theta(strategy.angle(1, q[0]))
-    acc = psi
+    first = _player_gates(strategy, 1, rows, _z_entries)
+    acc = np.tile(psi, (rows.shape[0], 1))
     for i in range(2, m + 1):
-        other = z_theta(strategy.angle(i, q[i - 1]))
-        sign = -1.0 if q[0] & q[i - 1] else 1.0
+        other = _player_gates(strategy, i, rows, _z_entries)
+        sign = np.where(rows[:, 0] & rows[:, i - 1], -1.0, 1.0)[:, None]
         tmp = apply_single_qubit(acc, first, 0)
         tmp = apply_single_qubit(tmp, other, i - 1)
         acc = (acc + sign * tmp) / 2.0
-    value = np.vdot(psi, acc)
-    assert abs(value.imag) < 1e-12
-    return float(value.real)
+    values = np.array([np.vdot(psi, row) for row in acc])
+    assert np.all(np.abs(values.imag) < 1e-12)
+    return values.real
+
+
+def winning_probability_operator(strategy: QuantumStrategy, q: Bits) -> float:
+    """Winning probability on one question, by the operator identity."""
+    return float(winning_probabilities_operator(strategy, [q])[0])
 
 
 def average_win_analytic(m: int, alpha: float) -> float:
@@ -235,7 +287,7 @@ class RMaximum(NamedTuple):
     r_star: float
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAXIMIZE_R_CACHE_SIZE)
 def maximize_r(power: int) -> RMaximum:
     """Maximise r(theta, M) over theta.
 

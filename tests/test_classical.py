@@ -1,16 +1,19 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hcgame.classical import (
     DeterministicStrategy,
+    _win_totals,
     brute_force_classical_value,
     canonical_strategy,
     classical_value_formula,
     enumerate_strategies,
     strategy_value,
 )
-from hcgame.game import FacetAssignment, all_questions, parity_ok
+from hcgame.game import FacetAssignment, all_questions, answer_from_masks, parity_ok, predicate
 
 
 def test_formula_values():
@@ -88,3 +91,36 @@ def test_every_strategy_bounded_by_formula_m2():
         assert v <= bound
         best = max(best, v)
     assert best == bound
+
+
+def _reference_totals(candidates, m):
+    """Questions won by every strategy on the candidate grid, one predicate
+    call per (question, answer)."""
+    shape = tuple(len(candidates[p][b]) for p in range(m) for b in (0, 1))
+    totals = np.zeros(shape, dtype=np.int32)
+    for q in all_questions(m):
+        axes = [2 * i + q[i] for i in range(m)]
+        for combo in itertools.product(*(range(shape[a]) for a in axes)):
+            masks = tuple(candidates[i][q[i]][combo[i]] for i in range(m))
+            if predicate(answer_from_masks(m, q, masks), q):
+                index = [slice(None)] * len(shape)
+                for a, c in zip(axes, combo):
+                    index[a] = c
+                totals[tuple(index)] += 1
+    return totals
+
+
+def test_win_totals_and_maximizer_match_per_answer_search():
+    # maximizer masks (player 1 bit 0, player 1 bit 1, player 2 bit 0, ...)
+    # as the per-answer search found them
+    expected_best = {
+        (2, False): (0, 1, 0, 0),
+        (2, True): (0, 1, 0, 0),
+        (3, True): (0, 1, 0, 0, 0, 0),
+    }
+    for (m, restrict), masks in expected_best.items():
+        candidates, totals = _win_totals(m, restrict)
+        assert totals.dtype == np.int32
+        assert np.array_equal(totals, _reference_totals(candidates, m))
+        _, best = brute_force_classical_value(m, restrict_parity=restrict)
+        assert best.masks() == masks

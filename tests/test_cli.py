@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,14 @@ def test_usage_error_exit_codes():
         ["verify", "lemma3", "--m-max", "511"],
         ["verify", "lemma3", "--m-max", "1100"],
         ["verify", "classical", "--jobs", "many"],
+        ["verify", "lemma2", "--dim", "0"],
+        ["verify", "lemma2", "--dim", "1"],
+        ["verify", "lemma2", "--dim", "7"],
+        ["verify", "lemma2", "--dim", "4098"],
+        ["verify", "quantum", "--m", "2", "--tol", "nan"],
+        ["verify", "lemma2", "--tol", "inf"],
+        ["verify", "converse", "--m", "2", "--tol", "-1e-9"],
+        ["verify", "quantum", "--m", "2", "--tol", "small"],
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, capsys):
@@ -216,3 +225,20 @@ def test_jobs_env_fallback(capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["values", "--m", "2"])
     assert err.value.code == 2
+
+
+def test_verify_all_quick_report_matches_reference(capsys):
+    # the benchmark's reference report of the same run; floats parsed from
+    # JSON compare exactly, so any changed digit, field or check shows up
+    reference_file = Path(__file__).parents[1] / "perfbench" / "reference" / "verify-quick-j2.json"
+    (reference,) = json.loads(reference_file.read_text())
+    assert reference["argv"][:3] == ["verify", "all", "--quick"]
+    code, out = run_cli(capsys, *reference["argv"])
+    assert code == reference["exit_code"] == 1  # criterion 3: the m >= 3 quantum average misses the closed form
+    assert json.loads(out) == reference["report"]
+
+
+def test_boundary_dim_and_tol_are_accepted(capsys):
+    code, out = run_cli(capsys, "verify", "lemma2", "--trials", "4", "--dim", "2", "--tol", "0")
+    assert code == 0
+    assert json.loads(out)["pass"] is True

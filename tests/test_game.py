@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcgame import game
 from hcgame.game import (
     Answer,
     FacetAssignment,
@@ -12,6 +13,7 @@ from hcgame.game import (
     answer_from_json,
     answer_from_masks,
     answer_to_json,
+    batch_predicate,
     chsh_bit_embedding,
     consistency_ok,
     facet_vertices,
@@ -23,6 +25,7 @@ from hcgame.game import (
     vertex_bits,
     vertex_index,
 )
+from hcgame.quantum import _answer_for_outcome
 
 
 def test_vertex_encoding_roundtrip():
@@ -266,3 +269,116 @@ def test_answer_validation():
                 FacetAssignment.from_values(2, 1, 0, (1, 1)),
             )
         )
+
+
+def _reference_win(m, q, masks):
+    """The win rule vertex by vertex with a dict, independent of the module:
+    facet vertices in lexicographic order, mask bit k set means label -1."""
+    labels = {}
+    for player in range(1, m + 1):
+        mask = masks[player - 1]
+        required = q[0] if player == 1 else 0
+        if bin(mask).count("1") % 2 != required:
+            return 0
+        facet = [v for v in itertools.product((0, 1), repeat=m) if v[player - 1] == q[player - 1]]
+        for k, vertex in enumerate(facet):
+            label = -1 if (mask >> k) & 1 else 1
+            if labels.setdefault(vertex, label) != label:
+                return 0
+    return 1
+
+
+def _check_against_reference(m, q, rows):
+    won = batch_predicate(m, q, np.array(rows, dtype=object if m > 7 else np.uint64))
+    assert won.dtype == np.uint8 and won.shape == (len(rows),)
+    assert won.tolist() == [_reference_win(m, q, row) for row in rows]
+    return int(won.sum())
+
+
+def test_batch_predicate_exhaustive_m2_m3():
+    for m in (2, 3):
+        size = 1 << (m - 1)
+        rows = list(itertools.product(range(1 << size), repeat=m))
+        wins = sum(_check_against_reference(m, q, rows) for q in itertools.product((0, 1), repeat=m))
+        assert wins > 0
+
+
+def _global_rows(m, q, rng, count):
+    """Masks cut from random labellings of the whole cube: every shared vertex
+    agrees, and parity holds about half the time per player."""
+    rows = []
+    for _ in range(count):
+        cube = rng.integers(0, 2, 1 << m)
+        row = []
+        for player in range(1, m + 1):
+            facet = [v for v in itertools.product((0, 1), repeat=m) if v[player - 1] == q[player - 1]]
+            row.append(sum(int(cube[vertex_index(v)]) << k for k, v in enumerate(facet)))
+        rows.append(tuple(row))
+    return rows
+
+
+def test_batch_predicate_random_and_pinned_m4_to_m6():
+    rng = np.random.default_rng(11)
+    for m in (4, 5, 6):
+        size = 1 << (m - 1)
+        for q in itertools.product((0, 1), repeat=m):
+            random_rows = [tuple(int(v) for v in rng.integers(0, 1 << size, m)) for _ in range(20)]
+            pinned_rows = [
+                tuple(fa.mask for fa in _answer_for_outcome(m, q, o).assignments)
+                for o in itertools.product((1, -1), repeat=m)
+            ]
+            global_rows = _global_rows(m, q, rng, 8)
+            _check_against_reference(m, q, random_rows + pinned_rows + global_rows)
+
+
+def test_batch_predicate_wide_facets():
+    # at m = 7 a mask fills all 64 bits; past it masks are Python integers
+    rng = np.random.default_rng(3)
+    for m in (7, 8):
+        top = 1 << ((1 << (m - 1)) - 1)
+        for q in ((0,) * m, (1, 0, 1, 1, 0, 0, 1, 0)[:m]):
+            rows = _global_rows(m, q, rng, 6) + [(0,) * m, (top,) * m, (top | 1,) * m]
+            _check_against_reference(m, q, rows)
+
+
+def test_batch_predicate_in_chunks_equals_one_pass(monkeypatch):
+    rng = np.random.default_rng(5)
+    m, q = 4, (1, 0, 0, 1)
+    rows = [tuple(int(v) for v in rng.integers(0, 1 << 8, m)) for _ in range(40)]
+    rows += _global_rows(m, q, rng, 10)
+    masks = np.array(rows, dtype=np.uint64)
+    whole = batch_predicate(m, q, masks)
+    # three rows of label grid per chunk, so 50 rows take 17 chunks
+    monkeypatch.setattr(game, "_GRID_CELLS", 3 * m << m)
+    assert np.array_equal(batch_predicate(m, q, masks), whole)
+    _check_against_reference(m, q, rows)
+
+
+def test_batch_predicate_rejects_bad_input():
+    q = (0, 1)
+    assert batch_predicate(2, q, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    for masks in (np.zeros((3, 3), dtype=np.int64), np.zeros(2, dtype=np.int64), np.zeros((1, 2))):
+        with pytest.raises(ValueError):
+            batch_predicate(2, q, masks)
+    for masks in ([[4, 0]], [[0, -1]]):
+        with pytest.raises(ValueError):
+            batch_predicate(2, q, np.array(masks))
+    with pytest.raises(ValueError):
+        batch_predicate(2, (0, 1, 0), np.zeros((1, 2), dtype=np.int64))
+    with pytest.raises(ValueError):
+        batch_predicate(2, (0, 2), np.zeros((1, 2), dtype=np.int64))
+
+
+def test_scalar_rule_is_one_row_of_the_batch():
+    rng = np.random.default_rng(4)
+    for m in (2, 3, 4):
+        size = 1 << (m - 1)
+        for q in itertools.product((0, 1), repeat=m):
+            rows = [tuple(int(v) for v in rng.integers(0, 1 << size, m)) for _ in range(10)]
+            rows += _global_rows(m, q, rng, 10)
+            won = batch_predicate(m, q, np.array(rows))
+            for row, bit in zip(rows, won):
+                answer = answer_from_masks(m, q, row)
+                assert predicate(answer, q) == bit
+                agree = consistency_ok(answer, q)
+                assert bit == int(agree and all(parity_ok(fa) for fa in answer.assignments))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hcgame.inequalities as ineq
+from hcgame import quantum
 from hcgame.game import all_questions
 from hcgame.inequalities import (
     ConstrainedPair,
@@ -75,6 +76,8 @@ def test_edge_observable_owner_validation():
 
 def test_edge_observable_memo_is_read_only_and_matches_fresh():
     assert induced_edge_observable.cache_info().maxsize is not None
+    assert quantum._win_table.cache_info().maxsize >= 1 << quantum.GHZ_MAX_QUBITS
+    assert maximize_r.cache_info().maxsize is not None
     s = QuantumStrategy(3, 0.5)
     for owner in (1, 2, 3):
         for q1 in (0, 1):

@@ -134,3 +134,29 @@ def test_apply_single_qubit_matches_dense():
             apply_single_qubit(psi, gates[0], n)
     with pytest.raises(ValueError):
         apply_single_qubit(psi, np.eye(3), 0)
+
+
+def test_apply_single_qubit_on_a_stack_equals_row_by_row():
+    rng = np.random.default_rng(9)
+    for n in range(1, 5):
+        rows = 5
+        stack = rng.standard_normal((rows, 1 << n)) + 1j * rng.standard_normal((rows, 1 << n))
+        per_row = rng.standard_normal((rows, 2, 2)) + 1j * rng.standard_normal((rows, 2, 2))
+        shared = per_row[0]
+        for qubit in range(n):
+            out = apply_single_qubit(stack, per_row, qubit)
+            assert out.shape == stack.shape
+            for k in range(rows):
+                assert np.array_equal(out[k], apply_single_qubit(stack[k], per_row[k], qubit))
+            out = apply_single_qubit(stack, shared, qubit)
+            for k in range(rows):
+                assert np.array_equal(out[k], apply_single_qubit(stack[k], shared, qubit))
+    for gate in (per_row[:2], np.eye(3), per_row[:, :1]):
+        with pytest.raises(ValueError):
+            apply_single_qubit(stack, gate, 0)
+    with pytest.raises(ValueError):
+        apply_single_qubit(stack[0], per_row[:1], 0)
+    with pytest.raises(ValueError):
+        apply_single_qubit(np.zeros((0, 4)), shared, 0)
+    with pytest.raises(ValueError):
+        apply_single_qubit(np.zeros((2, 2, 4)), shared, 0)

@@ -7,14 +7,18 @@ import pytest
 from hcgame import game
 from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
 from hcgame.linalg import is_reflection
+from hcgame.cli import verify_quantum
 from hcgame.quantum import (
+    GHZ_MAX_QUBITS,
     QuantumStrategy,
     _answer_for_outcome,
+    _win_table,
     average_win_analytic,
     ghz_state,
     maximize_r,
     measurement_angle,
     outcome_distribution,
+    outcome_distributions,
     outcome_probability,
     outcome_to_answer,
     quantum_value,
@@ -22,6 +26,8 @@ from hcgame.quantum import (
     quantum_value_excess,
     r_function,
     r_function_scaled,
+    winning_probabilities_operator,
+    winning_probabilities_simulated,
     winning_probability_operator,
     winning_probability_simulated,
 )
@@ -295,3 +301,67 @@ def test_strategy_validation():
         QuantumStrategy(1, 0.0)
     with pytest.raises(ValueError):
         QuantumStrategy(3, 2.0)
+
+
+def test_win_table_matches_predicate_of_each_outcome():
+    # m = 7 fills all 64 bits of a mask; m = 8 needs Python-integer masks
+    cases = [(m, q) for m in range(2, 7) for q in all_questions(m)]
+    cases += [(7, (1, 0, 1, 1, 0, 0, 1)), (8, (1, 0, 1, 1, 0, 0, 1, 0))]
+    for m, q in cases:
+        table = _win_table(m, q)
+        assert not table.flags.writeable
+        expected = [predicate(_answer_for_outcome(m, q, o), q) for o in _outcomes(m)]
+        assert table.tolist() == expected
+
+
+def test_win_table_cache_holds_every_question_of_a_sweep():
+    # m = 9 has 512 questions; a cache that cycled through them would miss
+    # on every alpha instead of only the first
+    before = _win_table.cache_info()
+    report = verify_quantum([9], 2, 1e-9, 42)
+    after = _win_table.cache_info()
+    cross = report["checks"][0]
+    assert cross["name"] == "simulated_equals_operator" and float(cross["actual"]) <= 1e-9
+    assert after.misses - before.misses <= 512
+    assert after.hits - before.hits >= 512
+    assert after.maxsize >= 1 << GHZ_MAX_QUBITS
+
+
+def test_batched_simulation_equals_one_row_calls():
+    for m, samples in ((2, 5), (3, 5), (4, 3), (5, 3), (6, 2)):
+        questions = list(all_questions(m))
+        for alpha in np.linspace(0.0, math.pi / 2, samples):
+            s = QuantumStrategy(m, float(alpha))
+            dists = outcome_distributions(s, questions)
+            sims = winning_probabilities_simulated(s, questions)
+            ops = winning_probabilities_operator(s, questions)
+            assert dists.shape == (len(questions), 1 << m)
+            for k, q in enumerate(questions):
+                assert np.array_equal(dists[k], outcome_distribution(s, q))
+                assert sims[k] == winning_probability_simulated(s, q)
+                assert ops[k] == winning_probability_operator(s, q)
+
+
+def test_batched_simulation_agrees_with_outcome_probability():
+    for m in (2, 3, 4):
+        questions = list(all_questions(m))
+        outcomes = list(_outcomes(m))
+        for alpha in (0.0, 0.37, math.pi / 2):
+            s = QuantumStrategy(m, alpha)
+            dists = outcome_distributions(s, questions)
+            sims = winning_probabilities_simulated(s, questions)
+            ops = winning_probabilities_operator(s, questions)
+            for k, q in enumerate(questions):
+                pointwise = [outcome_probability(s, q, o) for o in outcomes]
+                assert np.max(np.abs(dists[k] - pointwise)) <= 1e-12
+                won = sum(p for p, o in zip(pointwise, outcomes) if predicate(outcome_to_answer(s, q, o), q))
+                assert abs(sims[k] - won) <= 1e-12
+                assert abs(ops[k] - won) <= 1e-12
+
+
+def test_batched_simulation_rejects_bad_questions():
+    s = QuantumStrategy(3, 0.2)
+    for questions in ([], [(0, 1)], [(0, 1, 2)], [(0, 0, 0), (1, 1)]):
+        for fn in (outcome_distributions, winning_probabilities_simulated, winning_probabilities_operator):
+            with pytest.raises(ValueError):
+                fn(s, questions)
