@@ -8,6 +8,7 @@ Exit codes follow the CI contract: 0 on pass, 1 on verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from .quantum import (
 )
 
 DEFAULT_SEED = 42
-VERIFY_SUITES = ("classical", "quantum", "nosignalling", "lemma2", "lemma3", "converse", "all")
+# largest m that values and figure3 accept
+VALUES_MAX_M = 64
 # past about M = 536 the lemma 3 lower bound M * 2^-(2M+1) is no longer a
 # normal double, so its comparisons stop meaning anything
 LEMMA3_MAX_POWER = 510
@@ -67,14 +69,44 @@ def value_row(m: int) -> dict:
     }
 
 
-def _check(name: str, expected, actual, tolerance, margin) -> dict:
-    return {
+def _check(name: str, expected, actual, tolerance, margin, verdict=None) -> tuple[dict, bool]:
+    """A report check and its verdict: ``verdict`` if given, else the margin
+    itself when it is a bool, else ``margin >= 0``."""
+    if verdict is None:
+        verdict = margin if isinstance(margin, bool) else margin >= 0
+    check = {
         "name": name,
         "expected": str(expected),
         "actual": str(actual),
         "tolerance": str(tolerance),
         "margin": _fmt(margin) if isinstance(margin, float) else str(margin),
     }
+    return check, bool(verdict)
+
+
+def _suite(suite: str, seed: int, checks: list[tuple[dict, bool]], **fields) -> dict:
+    """A suite report: it passes when every one of its checks does."""
+    return {
+        "suite": suite,
+        "seed": seed,
+        **fields,
+        "pass": all(verdict for _, verdict in checks),
+        "checks": [check for check, _ in checks],
+    }
+
+
+class UnwritablePathError(OSError):
+    """An output path that cannot be opened; the CLI reports it as a usage error."""
+
+
+def _open_out(path: str | None):
+    """The file to write a command's output to: stdout when no path is given."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UnwritablePathError(f"cannot write {path}: {exc}") from exc
 
 
 def verify_classical(m: int, seed: int) -> dict:
@@ -90,21 +122,11 @@ def verify_classical(m: int, seed: int) -> dict:
         checks.append(
             _check("parity_restriction_lossless", _frac(brute), _frac(unrestricted), "exact", unrestricted == brute)
         )
-    ok = brute == formula and canonical == formula and all(c["margin"] == "True" for c in checks)
-    return {
-        "suite": "classical",
-        "seed": seed,
-        "m": m,
-        "brute_force": _frac(brute),
-        "formula": _frac(formula),
-        "match": brute == formula,
+    return _suite(
+        "classical", seed, checks, m=m, brute_force=_frac(brute), formula=_frac(formula), match=brute == formula,
         # one maximizer, signs as +1/-1 per facet, question bit 0 then 1
-        "maximizer": [
-            [[int(v) for v in fa.values] for fa in pair] for pair in best.choices
-        ],
-        "pass": ok,
-        "checks": checks,
-    }
+        maximizer=[[[int(v) for v in fa.values] for fa in pair] for pair in best.choices],
+    )
 
 
 def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
@@ -133,22 +155,13 @@ def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
         _check("simulated_equals_operator", f"<= {tol}", worst_cross, tol, tol - worst_cross),
         _check("average_equals_closed_form", f"<= {tol}", worst_analytic, tol, tol - worst_analytic),
     ]
-    ok = worst_cross <= tol and worst_analytic <= tol
     if 2 in m_values:
         target = (2.0 + math.sqrt(2.0)) / 4.0
         err = abs(quantum_value(2) - target)
         theta_err = abs(maximize_r(1).theta_star - math.pi / 4.0)
         checks.append(_check("two_player_value", target, quantum_value(2), 1e-9, 1e-9 - err))
         checks.append(_check("two_player_theta_star", math.pi / 4.0, maximize_r(1).theta_star, 1e-6, 1e-6 - theta_err))
-        ok = ok and err <= 1e-9 and theta_err <= 1e-6
-    return {
-        "suite": "quantum",
-        "seed": seed,
-        "m_values": list(m_values),
-        "alpha_samples": alpha_samples,
-        "pass": ok,
-        "checks": checks,
-    }
+    return _suite("quantum", seed, checks, m_values=list(m_values), alpha_samples=alpha_samples)
 
 
 def verify_nosignalling(m: int, subset_max: int | None, seed: int, export: str | None = None) -> dict:
@@ -160,26 +173,18 @@ def verify_nosignalling(m: int, subset_max: int | None, seed: int, export: str |
         nosignalling.verify_no_signalling(corr, size) for size in range(1, subset_max + 1)
     )
     value = nosignalling.ns_winning_probability(corr)
-    if export:
-        with open(export, "w", encoding="utf-8") as handle:
-            for line in nosignalling.export_lines(corr):
-                handle.write(line + "\n")
-    ok = normalized and no_signal and value == 1
-    return {
-        "suite": "nosignalling",
-        "seed": seed,
-        "m": m,
-        "subset_max": subset_max,
-        "normalization": normalized,
-        "no_signalling": no_signal,
-        "value": _frac(value),
-        "pass": ok,
-        "checks": [
-            _check("normalization", True, normalized, "exact", normalized),
-            _check("no_signalling_marginals", True, no_signal, "exact", no_signal),
-            _check("winning_probability", "1", _frac(value), "exact", value == 1),
-        ],
-    }
+    if export is not None:
+        with _open_out(export) as handle:
+            handle.writelines(line + "\n" for line in nosignalling.export_lines(corr))
+    checks = [
+        _check("normalization", True, normalized, "exact", normalized),
+        _check("no_signalling_marginals", True, no_signal, "exact", no_signal),
+        _check("winning_probability", "1", _frac(value), "exact", value == 1),
+    ]
+    return _suite(
+        "nosignalling", seed, checks,
+        m=m, subset_max=subset_max, normalization=normalized, no_signalling=no_signal, value=_frac(value),
+    )
 
 
 def verify_lemma2(trials: int, dim: int, max_power: int, seed: int, tol: float) -> dict:
@@ -197,30 +202,23 @@ def verify_lemma2(trials: int, dim: int, max_power: int, seed: int, tol: float) 
         1,
     )
     target = 2.0 + math.sqrt(2.0)
-    ok = report["passed"] and abs(tight - target) <= 1e-6
-    return {
-        "suite": "lemma2",
-        "seed": seed,
-        "trials": trials,
-        "pass": ok,
-        "checks": [
-            _check("random_pairs_bounded", "0 failures", f"{report['failures']} failures", tol, report["worst_slack"]),
-            _check("chsh_configuration_tight", target, tight, 1e-6, 1e-6 - abs(tight - target)),
-        ],
-    }
+    checks = [
+        # the margin is the worst slack, which may dip below 0 by up to tol and still pass
+        _check(
+            "random_pairs_bounded", "0 failures", f"{report['failures']} failures", tol, report["worst_slack"],
+            verdict=report["passed"],
+        ),
+        _check("chsh_configuration_tight", target, tight, 1e-6, 1e-6 - abs(tight - target)),
+    ]
+    return _suite("lemma2", seed, checks, trials=trials)
 
 
 def verify_lemma3(m_max: int, seed: int) -> dict:
     failures = [power for power in range(1, m_max + 1) if not inequalities.verify_lemma3(power)]
-    return {
-        "suite": "lemma3",
-        "seed": seed,
-        "m_max": m_max,
-        "pass": not failures,
-        "checks": [
-            _check("two_sided_bounds", "hold for all exponents", f"failures at {failures}" if failures else "hold", "exact", not failures)
-        ],
-    }
+    checks = [
+        _check("two_sided_bounds", "hold for all exponents", f"failures at {failures}" if failures else "hold", "exact", not failures)
+    ]
+    return _suite("lemma3", seed, checks, m_max=m_max)
 
 
 def verify_converse(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
@@ -234,15 +232,9 @@ def verify_converse(m_values, alpha_samples: int, tol: float, seed: int) -> dict
                     return False
         return True
 
-    ok = all(all_ok(m) for m in m_values)
-    return {
-        "suite": "converse",
-        "seed": seed,
-        "m_values": list(m_values),
-        "alpha_samples": alpha_samples,
-        "pass": ok,
-        "checks": [_check("relaxation_and_identities", True, ok, tol, ok)],
-    }
+    holds = all(all_ok(m) for m in m_values)
+    checks = [_check("relaxation_and_identities", True, holds, tol, holds)]
+    return _suite("converse", seed, checks, m_values=list(m_values), alpha_samples=alpha_samples)
 
 
 def verify_chsh_equivalence(seed: int) -> dict:
@@ -253,12 +245,8 @@ def verify_chsh_equivalence(seed: int) -> dict:
                 won = predicate(chsh_bit_embedding(a1, a2, q), q)
                 if won != int((a1 ^ a2) == q[0] * q[1]):
                     mismatches += 1
-    return {
-        "suite": "chsh",
-        "seed": seed,
-        "pass": mismatches == 0,
-        "checks": [_check("xor_rule_equivalence", "0 mismatches", f"{mismatches} mismatches", "exact", mismatches == 0)],
-    }
+    checks = [_check("xor_rule_equivalence", "0 mismatches", f"{mismatches} mismatches", "exact", mismatches == 0)]
+    return _suite("chsh", seed, checks)
 
 
 def verify_all(quick: bool, seed: int) -> dict:
@@ -291,14 +279,6 @@ def verify_all(quick: bool, seed: int) -> dict:
     }
 
 
-def _parse_m_range(text: str, parser: argparse.ArgumentParser) -> tuple[int, int]:
-    try:
-        lo, hi = (int(part) for part in text.split(":"))
-    except ValueError:
-        parser.error(f"--m-range expects LO:HI, got {text!r}")
-    return lo, hi
-
-
 def _int_range(lo: int, hi: int | None = None):
     """argparse type for an integer in [lo, hi], unbounded above if hi is None."""
 
@@ -328,6 +308,16 @@ def _even_int_range(lo: int, hi: int):
     return parse
 
 
+def _m_range(text: str) -> tuple[int, int]:
+    """argparse type for LO:HI with 2 <= LO <= HI <= VALUES_MAX_M."""
+    lo, _, hi = text.partition(":")
+    in_range = _int_range(2, VALUES_MAX_M)
+    lo, hi = in_range(lo), in_range(hi)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected LO:HI with LO <= HI, got {text!r}")
+    return lo, hi
+
+
 def _tolerance(text: str) -> float:
     """argparse type for a finite, non-negative tolerance."""
     try:
@@ -337,6 +327,11 @@ def _tolerance(text: str) -> float:
     if not math.isfinite(value) or value < 0.0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
     return value
+
+
+def _m_values(m: int | None, m_top: int) -> list[int]:
+    """The single --m, or the sweep 2..m_top when it is not given."""
+    return [m] if m is not None else list(range(2, m_top + 1))
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -351,38 +346,46 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command sets ``run(args)`` and each verify suite ``report(args)``;
+    a lambda looks its ``verify_*`` function up when the suite runs."""
     parser = argparse.ArgumentParser(prog="hcgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     values = sub.add_parser("values", help="per-m value table")
-    values.add_argument("--m", type=int, default=None)
-    values.add_argument("--m-range", type=str, default="2:12")
+    values.add_argument("--m", type=_int_range(2, VALUES_MAX_M), default=None)
+    values.add_argument("--m-range", type=_m_range, default="2:12")
     values.add_argument("--format", choices=("csv", "json"), default="csv")
     values.add_argument("--out", type=str, default=None)
+    values.set_defaults(run=cmd_values)
     _add_common(values)
 
     figure = sub.add_parser("figure3", help="CSV of classical/quantum/no-signalling values")
-    figure.add_argument("--m-max", type=int, default=12)
+    figure.add_argument("--m-max", type=_int_range(2, VALUES_MAX_M), default=12)
     figure.add_argument("--out", type=str, required=True)
+    figure.set_defaults(run=cmd_figure3)
     _add_common(figure)
 
     verify = sub.add_parser("verify", help="run a verification suite")
+    verify.set_defaults(run=cmd_verify)
     suites = verify.add_subparsers(dest="suite", required=True)
 
     v_classical = suites.add_parser("classical")
     v_classical.add_argument("--m", type=int, choices=(2, 3), default=2)
+    v_classical.set_defaults(report=lambda a: verify_classical(a.m, a.seed))
     _add_common(v_classical)
 
     v_quantum = suites.add_parser("quantum")
-    v_quantum.add_argument("--m", type=int, default=None, help="single m; default sweeps 2..6")
+    v_quantum.add_argument("--m", type=_int_range(2, 6), default=None, help="single m; default sweeps 2..6")
     v_quantum.add_argument("--alpha-samples", type=_int_range(1), default=32)
     v_quantum.add_argument("--tol", type=_tolerance, default=1e-9)
+    v_quantum.set_defaults(report=lambda a: verify_quantum(_m_values(a.m, 6), a.alpha_samples, a.tol, a.seed))
     _add_common(v_quantum)
 
     v_ns = suites.add_parser("nosignalling")
     v_ns.add_argument("--m", type=int, choices=(2, 3, 4), default=2)
     v_ns.add_argument("--subset-max", type=_int_range(1), default=None, help="at most --m")
     v_ns.add_argument("--export", type=str, default=None, help="write the support as JSON lines")
+    v_ns.set_defaults(report=lambda a: verify_nosignalling(a.m, a.subset_max, a.seed, a.export))
     _add_common(v_ns)
 
     v_l2 = suites.add_parser("lemma2")
@@ -390,91 +393,53 @@ def build_parser() -> argparse.ArgumentParser:
     v_l2.add_argument("--dim", type=_even_int_range(2, linalg.MAX_MATRIX_DIM), default=8)
     v_l2.add_argument("--max-power", type=_int_range(1, linalg.MAX_MATRIX_POWER), default=6)
     v_l2.add_argument("--tol", type=_tolerance, default=1e-9)
+    v_l2.set_defaults(report=lambda a: verify_lemma2(a.trials, a.dim, a.max_power, a.seed, a.tol))
     _add_common(v_l2)
 
     v_l3 = suites.add_parser("lemma3")
     v_l3.add_argument("--m-max", type=_int_range(1, LEMMA3_MAX_POWER), default=64)
+    v_l3.set_defaults(report=lambda a: verify_lemma3(a.m_max, a.seed))
     _add_common(v_l3)
 
     v_conv = suites.add_parser("converse")
-    v_conv.add_argument("--m", type=int, default=None, help="single m; default sweeps 2..5")
+    v_conv.add_argument("--m", type=_int_range(2, 5), default=None, help="single m; default sweeps 2..5")
     v_conv.add_argument("--alpha-samples", type=_int_range(1), default=16)
     v_conv.add_argument("--tol", type=_tolerance, default=1e-10)
+    v_conv.set_defaults(report=lambda a: verify_converse(_m_values(a.m, 5), a.alpha_samples, a.tol, a.seed))
     _add_common(v_conv)
 
     v_all = suites.add_parser("all")
     v_all.add_argument("--quick", action="store_true")
+    v_all.set_defaults(report=lambda a: verify_all(a.quick, a.seed))
     _add_common(v_all)
 
     return parser
 
 
-def cmd_values(args, parser) -> int:
-    if args.m is not None:
-        lo = hi = args.m
-    else:
-        lo, hi = _parse_m_range(args.m_range, parser)
-    if not 2 <= lo <= hi <= 64:
-        parser.error(f"m range must satisfy 2 <= lo <= hi <= 64, got {lo}:{hi}")
+def cmd_values(args) -> int:
+    lo, hi = (args.m, args.m) if args.m is not None else args.m_range
     rows = [value_row(m) for m in range(lo, hi + 1)]
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _open_out(args.out) as out:
         if args.format == "csv":
-            out.write("m,omega_c,omega_c_fraction,omega_q,theta_star,omega_ns,quantum_advantage\n")
-            for row in rows:
-                out.write(
-                    f"{row['m']},{row['omega_c']},{row['omega_c_fraction']},{row['omega_q']},"
-                    f"{row['theta_star']},{row['omega_ns']},{row['quantum_advantage']}\n"
-                )
+            # the columns are value_row's keys, in its order
+            out.write(",".join(rows[0]) + "\n")
+            out.writelines(",".join(str(v) for v in row.values()) + "\n" for row in rows)
         else:
-            for row in rows:
-                out.write(json.dumps(row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            out.writelines(json.dumps(row) + "\n" for row in rows)
     return 0
 
 
-def cmd_figure3(args, parser) -> int:
-    if not 2 <= args.m_max <= 64:
-        parser.error(f"--m-max must be in [2, 64], got {args.m_max}")
+def cmd_figure3(args) -> int:
     rows = [value_row(m) for m in range(2, args.m_max + 1)]
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("m,classical,quantum,nosignalling\n")
-            for row in rows:
-                handle.write(f"{row['m']},{row['omega_c']},{row['omega_q']},{row['omega_ns']}\n")
-    except OSError as exc:
-        parser.error(f"cannot write {args.out}: {exc}")
+    with _open_out(args.out) as out:
+        out.write("m,classical,quantum,nosignalling\n")
+        for row in rows:
+            out.write(f"{row['m']},{row['omega_c']},{row['omega_q']},{row['omega_ns']}\n")
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    seed = args.seed
-    if args.suite == "classical":
-        report = verify_classical(args.m, seed)
-    elif args.suite == "quantum":
-        m_values = [args.m] if args.m is not None else list(range(2, 7))
-        if any(not 2 <= m <= 6 for m in m_values):
-            parser.error("quantum verification supports m in 2..6")
-        report = verify_quantum(m_values, args.alpha_samples, args.tol, seed)
-    elif args.suite == "nosignalling":
-        if args.subset_max is not None and args.subset_max > args.m:
-            parser.error(f"--subset-max must be in [1, {args.m}] for m = {args.m}, got {args.subset_max}")
-        report = verify_nosignalling(args.m, args.subset_max, seed, args.export)
-    elif args.suite == "lemma2":
-        report = verify_lemma2(args.trials, args.dim, args.max_power, seed, args.tol)
-    elif args.suite == "lemma3":
-        report = verify_lemma3(args.m_max, seed)
-    elif args.suite == "converse":
-        m_values = [args.m] if args.m is not None else list(range(2, 6))
-        if any(not 2 <= m <= 5 for m in m_values):
-            parser.error("converse verification supports m in 2..5")
-        report = verify_converse(m_values, args.alpha_samples, args.tol, seed)
-    elif args.suite == "all":
-        report = verify_all(args.quick, seed)
-    else:  # pragma: no cover - argparse enforces choices
-        parser.error(f"unknown suite {args.suite}")
+def cmd_verify(args) -> int:
+    report = args.report(args)
     print(json.dumps(report, indent=2))
     return 0 if report["pass"] else 1
 
@@ -482,11 +447,12 @@ def cmd_verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "values":
-        return cmd_values(args, parser)
-    if args.command == "figure3":
-        return cmd_figure3(args, parser)
-    return cmd_verify(args, parser)
+    if getattr(args, "subset_max", None) is not None and args.subset_max > args.m:
+        parser.error(f"--subset-max must be in [1, {args.m}] for m = {args.m}, got {args.subset_max}")
+    try:
+        return args.run(args)
+    except UnwritablePathError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

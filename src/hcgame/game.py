@@ -159,9 +159,6 @@ class FacetAssignment:
             raise ValueError(f"vertex {vertex} is not on this facet")
         return 1 - 2 * ((self.mask >> pos) & 1)
 
-    def sign_product(self) -> int:
-        return 1 - 2 * (self.mask.bit_count() & 1)
-
 
 @dataclass(frozen=True)
 class Answer:

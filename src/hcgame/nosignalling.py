@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,26 +129,19 @@ def verify_normalization(corr: SparseCorrelation) -> bool:
 
 def verify_no_signalling(corr: SparseCorrelation, subset_size: int) -> bool:
     """Marginals of any player subset of the given size depend only on that
-    subset's question bits; compared exactly across all question pairs."""
+    subset's question bits.  Every support entry carries the same weight, so
+    two marginals are equal exactly when their entry counts are: each
+    question's counts are compared with those of the first question that
+    has the same subset bits."""
     m = corr.m
     if not 1 <= subset_size <= m:
         raise ValueError(f"subset size must be in [1, {m}], got {subset_size}")
     for subset in itertools.combinations(range(m), subset_size):
-        groups: dict[Bits, list[Bits]] = {}
-        for q in corr.support:
-            key = tuple(q[j] for j in subset)
-            groups.setdefault(key, []).append(q)
-        for questions in groups.values():
-            reference: dict[MaskTuple, Fraction] | None = None
-            for q in questions:
-                marginal: dict[MaskTuple, Fraction] = {}
-                for masks in corr.support[q]:
-                    key = tuple(masks[j] for j in subset)
-                    marginal[key] = marginal.get(key, Fraction(0)) + corr.weight
-                if reference is None:
-                    reference = marginal
-                elif marginal != reference:
-                    return False
+        reference: dict[Bits, Counter[MaskTuple]] = {}
+        for q, entries in corr.support.items():
+            counts = Counter(tuple(masks[j] for j in subset) for masks in entries)
+            if reference.setdefault(tuple(q[j] for j in subset), counts) != counts:
+                return False
     return True
 
 

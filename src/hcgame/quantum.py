@@ -237,13 +237,11 @@ def winning_probability_operator(strategy: QuantumStrategy, q: Bits) -> float:
 
 
 def average_win_analytic(m: int, alpha: float) -> float:
-    """Closed form [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, evaluated in
-    the normalised form ((1+cos a)/2)^(m-1)/2 + ... so large m cannot overflow."""
+    """Closed form [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, evaluated as
+    r(a, m-1) / 2^(m-1) / 2 so large m cannot overflow."""
     if m < 2:
         raise ValueError(f"need at least two players, got {m}")
-    ca = (1.0 + math.cos(alpha)) / 2.0
-    sa = (1.0 + math.sin(alpha)) / 2.0
-    return (ca ** (m - 1) + sa ** (m - 1)) / 2.0
+    return r_function_scaled(alpha, m - 1) / 2.0
 
 
 def r_function(theta: float, power: int) -> float:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hcgame import cli, linalg
 from hcgame.classical import classical_value_formula
-from hcgame.cli import main, value_row
+from hcgame.cli import LEMMA3_MAX_POWER, VALUES_MAX_M, build_parser, main, value_row
 from hcgame.quantum import quantum_value
 
 
@@ -89,10 +95,22 @@ def test_figure3_matches_values_and_is_reproducible(tmp_path, capsys):
     assert lines[2] == f"3,{row['omega_c']},{row['omega_q']},{row['omega_ns']}"
 
 
-def test_figure3_unwritable_path(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["figure3", "--m-max", "4", "--out", "/nonexistent-dir/fig.csv"])
-    assert err.value.code == 2
+def test_figure3_unwritable_path(tmp_path, capsys):
+    # every command that writes a file: a missing directory, a directory given
+    # as the file and an empty path are usage errors, and nothing is printed
+    for path in (tmp_path / "no-such-dir" / "out", tmp_path, ""):
+        for argv in (
+            ["figure3", "--m-max", "4", "--out", str(path)],
+            ["values", "--m-range", "2:4", "--out", str(path)],
+            ["verify", "nosignalling", "--m", "2", "--export", str(path)],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert "usage:" in captured.err and "cannot write" in captured.err, argv
+            assert "Traceback" not in captured.err
+            assert captured.out == ""
 
 
 def test_verify_classical_m2(capsys):
@@ -208,6 +226,16 @@ def test_usage_error_exit_codes():
         ["verify", "lemma2", "--tol", "inf"],
         ["verify", "converse", "--m", "2", "--tol", "-1e-9"],
         ["verify", "quantum", "--m", "2", "--tol", "small"],
+        ["verify", "quantum", "--m", "1"],
+        ["verify", "quantum", "--m", "7"],
+        ["verify", "converse", "--m", "1"],
+        ["values", "--m", "65"],
+        ["values", "--m-range", "2:65"],
+        ["values", "--m-range", "5:4"],
+        ["values", "--m-range", "2:4:6"],
+        ["values", "--m", "2", "--m-range", "2:"],
+        ["figure3", "--m-max", "1", "--out", "figure.csv"],
+        ["figure3", "--m-max", "65", "--out", "figure.csv"],
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, capsys):
@@ -215,6 +243,18 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def test_largest_and_smallest_m_are_accepted():
+    parse = build_parser().parse_args
+    assert parse(["values", "--m", "64"]).m == 64
+    assert parse(["values", "--m-range", "2:64"]).m_range == (2, 64)
+    assert parse(["values", "--m-range", "7:7"]).m_range == (7, 7)
+    assert parse(["figure3", "--m-max", "64", "--out", "figure.csv"]).m_max == 64
+    assert parse(["figure3", "--m-max", "2", "--out", "figure.csv"]).m_max == 2
+    for suite, top in (("quantum", 6), ("converse", 5)):
+        assert parse(["verify", suite, "--m", "2"]).m == 2
+        assert parse(["verify", suite, "--m", str(top)]).m == top
 
 
 def test_jobs_env_fallback(capsys, monkeypatch):
@@ -242,3 +282,148 @@ def test_boundary_dim_and_tol_are_accepted(capsys):
     code, out = run_cli(capsys, "verify", "lemma2", "--trials", "4", "--dim", "2", "--tol", "0")
     assert code == 0
     assert json.loads(out)["pass"] is True
+
+
+def _checks_by_name(report):
+    return {c["name"]: c for c in report["checks"]}
+
+
+def _failed_lemma2_trials(trials, **_):
+    return {"trials": trials, "failures": 1, "worst_slack": -1.0, "passed": False}
+
+
+@pytest.mark.parametrize(
+    "argv, target, replacement, failing",
+    [
+        (["classical", "--m", "2"], "hcgame.cli.strategy_value", lambda s: Fraction(0), "canonical_equals_formula"),
+        (
+            ["quantum", "--m", "2", "--alpha-samples", "4"],
+            "hcgame.cli.average_win_analytic",
+            lambda m, alpha: 2.0,
+            "average_equals_closed_form",
+        ),
+        (["nosignalling", "--m", "2"], "hcgame.nosignalling.verify_normalization", lambda corr: False, "normalization"),
+        (["lemma2", "--trials", "8"], "hcgame.inequalities.run_lemma2_trials", _failed_lemma2_trials, "random_pairs_bounded"),
+        (["lemma3", "--m-max", "8"], "hcgame.inequalities.verify_lemma3", lambda power: power != 3, "two_sided_bounds"),
+        (
+            ["converse", "--m", "2", "--alpha-samples", "2"],
+            "hcgame.inequalities.verify_converse_chain",
+            lambda strategy, q, tol: False,
+            "relaxation_and_identities",
+        ),
+    ],
+)
+def test_one_failing_check_fails_its_suite(argv, target, replacement, failing, capsys, monkeypatch):
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    passing = json.loads(out)
+    monkeypatch.setattr(target, replacement)
+    code, out = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    before, after = _checks_by_name(passing), _checks_by_name(report)
+    assert before.keys() == after.keys()
+    assert before.pop(failing) != after.pop(failing)
+    assert before == after
+
+
+def test_chsh_mismatch_fails_its_report_and_verify_all(capsys, monkeypatch):
+    # the other suites stubbed as passing, so verify all's verdict is chsh's
+    for name in ("verify_classical", "verify_quantum", "verify_nosignalling", "verify_lemma2", "verify_lemma3", "verify_converse"):
+        monkeypatch.setattr(cli, name, lambda *args: {"pass": True})
+    code, _ = run_cli(capsys, "verify", "all", "--quick")
+    assert code == 0
+    monkeypatch.setattr(cli, "predicate", lambda answer, q: 0)
+    report = cli.verify_chsh_equivalence(42)
+    assert report["pass"] is False
+    assert report["checks"][0]["actual"] == "8 mismatches"
+    code, out = run_cli(capsys, "verify", "all", "--quick")
+    assert code == 1
+    assert json.loads(out)["suites"][-1] == report
+
+
+def _at_least(lo, hi=None):
+    return lambda v: type(v) is int and lo <= v and (hi is None or v <= hi)
+
+
+def _optional(check):
+    return lambda v: v is None or check(v)
+
+
+def _tolerance(v):
+    return type(v) is float and math.isfinite(v) and v >= 0.0
+
+
+def _is_str(v):
+    return type(v) is str
+
+
+COMMON_BOUNDS = {"--seed": lambda v: type(v) is int, "--jobs": _at_least(1)}
+TOL = {"--tol": _tolerance}
+# the bounds each subcommand documents, flag by flag; None marks a bare switch
+PARSE_BOUNDS = {
+    ("values",): {
+        "--m": _optional(_at_least(2, VALUES_MAX_M)),
+        "--m-range": lambda v: 2 <= v[0] <= v[1] <= VALUES_MAX_M,
+        "--format": lambda v: v in ("csv", "json"),
+        "--out": _optional(_is_str),
+    },
+    ("figure3",): {"--m-max": _at_least(2, VALUES_MAX_M), "--out": _is_str},
+    ("verify", "classical"): {"--m": lambda v: v in (2, 3)},
+    ("verify", "quantum"): {"--m": _optional(_at_least(2, 6)), "--alpha-samples": _at_least(1), **TOL},
+    ("verify", "nosignalling"): {
+        "--m": lambda v: v in (2, 3, 4),
+        "--subset-max": _optional(_at_least(1)),
+        "--export": _optional(_is_str),
+    },
+    ("verify", "lemma2"): {
+        "--trials": _at_least(1),
+        "--dim": lambda v: _at_least(2, linalg.MAX_MATRIX_DIM)(v) and v % 2 == 0,
+        "--max-power": _at_least(1, linalg.MAX_MATRIX_POWER),
+        **TOL,
+    },
+    ("verify", "lemma3"): {"--m-max": _at_least(1, LEMMA3_MAX_POWER)},
+    ("verify", "converse"): {"--m": _optional(_at_least(2, 5)), "--alpha-samples": _at_least(1), **TOL},
+    ("verify", "all"): {"--quick": None},
+}
+
+# values near every bound, plus anything at all
+flag_values = st.one_of(
+    st.integers(-2, 8).map(str),
+    st.sampled_from(["csv", "json", "2:12", "1:4", "6:3", "2:64", "2:65", "64", "65", "510", "511", "4096", "4098"]),
+    st.sampled_from(["1e-9", "0", "-0.0", "-1e-9", "nan", "inf", "small"]),
+    st.integers(-(10 ** 6), 10 ** 6).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def parser_argv(draw):
+    command = draw(st.sampled_from(sorted(PARSE_BOUNDS)))
+    flags = sorted({**PARSE_BOUNDS[command], **COMMON_BOUNDS})
+    argv = list(command)
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=4)):
+        argv.append(flag)
+        if flag != "--quick":
+            argv.append(draw(flag_values))
+    return command, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(parser_argv())
+def test_parser_accepts_only_documented_bounds(case):
+    # parse only: no suite runs, whatever the flags say
+    command, argv = case
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        assert "usage:" in stderr.getvalue()
+        return
+    for flag, check in {**PARSE_BOUNDS[command], **COMMON_BOUNDS}.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert type(value) is bool if check is None else check(value), (argv, flag, value)

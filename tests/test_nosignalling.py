@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -118,6 +119,36 @@ def test_no_signalling_negative_control():
     leaky = SparseCorrelation(m, Fraction(1), support)
     assert verify_normalization(leaky)
     assert not verify_no_signalling(leaky, 1)
+
+
+def _fraction_marginals_agree(corr, subset_size):
+    # per-entry weight sums, with no use of the weight being uniform
+    m = corr.m
+    for subset in itertools.combinations(range(m), subset_size):
+        seen = {}
+        for q, entries in corr.support.items():
+            marginal = {}
+            for masks in entries:
+                key = tuple(masks[j] for j in subset)
+                marginal[key] = marginal.get(key, Fraction(0)) + corr.weight
+            if seen.setdefault(tuple(q[j] for j in subset), marginal) != marginal:
+                return False
+    return True
+
+
+def test_no_signalling_counts_match_fraction_sums():
+    corr = build_ns_correlation(3)
+    q = (1, 0, 1)
+    entries = list(corr.support[q])
+    # player 3's mask of one entry flipped: still normalised, but it signals
+    first = entries[0]
+    entries[0] = (first[0], first[1], first[2] ^ 1)
+    tampered = SparseCorrelation(3, corr.weight, {**corr.support, q: tuple(entries)})
+    assert verify_normalization(tampered)
+    for c in (corr, tampered):
+        for size in (1, 2, 3):
+            assert verify_no_signalling(c, size) == _fraction_marginals_agree(c, size)
+    assert not verify_no_signalling(tampered, 1)
 
 
 def test_subset_size_validation():
