@@ -35,6 +35,7 @@ from .inequalities import (
     lemma2_lhs,
     random_constrained_pair,
     verify_converse_chain,
+    verify_converse_chains,
     verify_lemma2,
     verify_lemma3,
 )

@@ -225,12 +225,10 @@ def verify_converse(m_values, alpha_samples: int, tol: float, seed: int) -> dict
     grid = _alpha_grid(alpha_samples)
 
     def all_ok(m: int) -> bool:
-        for alpha in grid:
-            strategy = QuantumStrategy(m, float(alpha))
-            for q in all_questions(m):
-                if not inequalities.verify_converse_chain(strategy, q, tol):
-                    return False
-        return True
+        questions = list(all_questions(m))
+        return all(
+            inequalities.verify_converse_chains(QuantumStrategy(m, float(alpha)), questions, tol) for alpha in grid
+        )
 
     holds = all(all_ok(m) for m in m_values)
     checks = [_check("relaxation_and_identities", True, holds, tol, holds)]
@@ -352,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     values = sub.add_parser("values", help="per-m value table")
-    values.add_argument("--m", type=_int_range(2, VALUES_MAX_M), default=None)
-    values.add_argument("--m-range", type=_m_range, default="2:12")
+    which_m = values.add_mutually_exclusive_group()
+    which_m.add_argument("--m", type=_int_range(2, VALUES_MAX_M), default=None)
+    which_m.add_argument("--m-range", type=_m_range, default="2:12")
     values.add_argument("--format", choices=("csv", "json"), default="csv")
     values.add_argument("--out", type=str, default=None)
     values.set_defaults(run=cmd_values)

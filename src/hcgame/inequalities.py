@@ -16,18 +16,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import game, quantum
-from .linalg import apply_single_qubit, expectation, is_reflection, matpow, tensor
+from .linalg import (
+    IMAG_RESIDUE_ATOL,
+    OPERATOR_ATOL,
+    OVERLAP_IMAG_ATOL,
+    apply_single_qubit,
+    expectation,
+    is_reflection,
+    matpow,
+    real_part,
+    tensor,
+)
 from .quantum import QuantumStrategy, ghz_state, maximize_r, r_excess_scaled
 
 CONSTRAINT_ATOL = 1e-9
 IDENTITY_ATOL = 1e-10
 # 4m edges per strategy; room for every strategy of a default converse sweep
 EDGE_CACHE_SIZE = 1024
+# a stacked lemma-2 pass takes as many trials as keep each (K, d, d) stack
+# at about this many entries (1 MB of complex doubles)
+LEMMA2_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -45,7 +58,9 @@ class ConstrainedPair:
     """Hermitian operators meant to satisfy S^2 + T^2 = I.
 
     Construction does not validate; call :meth:`validate` (the builders in
-    this module do) so degenerate pairs remain expressible in tests.
+    this module do) so degenerate pairs remain expressible in tests.  The
+    constraint residual is computed once per pair, so S and T must not be
+    changed in place.
     """
 
     s: np.ndarray
@@ -55,9 +70,13 @@ class ConstrainedPair:
     def dim(self) -> int:
         return self.s.shape[0]
 
-    def constraint_residual(self) -> float:
+    @cached_property
+    def _residual(self) -> float:
         eye = np.eye(self.dim)
         return float(np.max(np.abs(self.s @ self.s + self.t @ self.t - eye)))
+
+    def constraint_residual(self) -> float:
+        return self._residual
 
     def validate(self, atol: float = CONSTRAINT_ATOL) -> None:
         for name, op in (("S", self.s), ("T", self.t)):
@@ -122,22 +141,34 @@ def build_S_T(strategy: QuantumStrategy, i: int) -> ConstrainedPair:
     return pair
 
 
-def _pair_from_blocks(betas, phis) -> ConstrainedPair:
+def _block_stacks(betas, phis) -> tuple[np.ndarray, np.ndarray]:
+    """S and T for K pairs of h blocks each, from (K, h) arrays of betas and
+    phis, as two (K, 2h, 2h) stacks: block j of T is diag(b, -b) and block j
+    of S is sqrt(1-b^2) [[cos p, sin p], [sin p, -cos p]]."""
     betas = np.asarray(betas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    if betas.shape != phis.shape:
+    if betas.shape != phis.shape or betas.ndim != 2:
         raise ValueError("need one rotation angle per block")
-    dim = 2 * betas.shape[0]
-    s = np.zeros((dim, dim), dtype=complex)
-    t = np.zeros((dim, dim), dtype=complex)
-    for j, (beta, phi) in enumerate(zip(betas, phis)):
-        k = 2 * j
-        c, sn = math.cos(phi), math.sin(phi)
-        radius = math.sqrt(max(1.0 - beta * beta, 0.0))
-        s[k : k + 2, k : k + 2] = radius * np.array([[c, sn], [sn, -c]])
-        t[k, k] = beta
-        t[k + 1, k + 1] = -beta
-    return ConstrainedPair(s, t)
+    k, h = betas.shape
+    # cos, sin and sqrt per scalar through math, as the entries always were
+    cos = np.array([math.cos(phi) for phi in phis.flat]).reshape(k, h)
+    sin = np.array([math.sin(phi) for phi in phis.flat]).reshape(k, h)
+    radius = np.array([math.sqrt(max(1.0 - beta * beta, 0.0)) for beta in betas.flat]).reshape(k, h)
+    # axes (pair, block, row in block, block, column in block)
+    s = np.zeros((k, h, 2, h, 2), dtype=complex)
+    t = np.zeros((k, h, 2, h, 2), dtype=complex)
+    j = np.arange(h)
+    s[:, j, 0, j, 0] = radius * cos
+    s[:, j, 0, j, 1] = s[:, j, 1, j, 0] = radius * sin
+    s[:, j, 1, j, 1] = radius * -cos
+    t[:, j, 0, j, 0] = betas
+    t[:, j, 1, j, 1] = -betas
+    return s.reshape(k, 2 * h, 2 * h), t.reshape(k, 2 * h, 2 * h)
+
+
+def _pair_from_blocks(betas, phis) -> ConstrainedPair:
+    s, t = _block_stacks(np.asarray(betas, dtype=float)[None], np.asarray(phis, dtype=float)[None])
+    return ConstrainedPair(s[0], t[0])
 
 
 def random_constrained_pair(dim_half: int, seed: int) -> ConstrainedPair:
@@ -195,50 +226,63 @@ def verify_lemma3(power: int) -> bool:
     return lower <= excess <= 8.0 * lower
 
 
-def relaxed_win_bound(strategy: QuantumStrategy, q) -> float:
-    """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state: the
+def _edge_stack(strategy: QuantumStrategy, owner: int, bits) -> np.ndarray:
+    """The owner's edge observable for each (q1, qi) in ``bits``, as an
+    (N, 2, 2) stack."""
+    return np.array([induced_edge_observable(strategy, owner, q1, qi).operator for q1, qi in bits])
+
+
+def relaxed_win_bounds(strategy: QuantumStrategy, questions) -> np.ndarray:
+    """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state for
+    each of N questions, one statevector row per question: the
     product-consistency upper bound on the winning probability."""
     m = strategy.m
-    q = tuple(q)
+    questions = [tuple(q) for q in questions]
     psi = ghz_state(m)
-    acc = psi
+    acc = np.tile(psi, (len(questions), 1))
     for i in range(2, m + 1):
-        e1 = induced_edge_observable(strategy, 1, q[0], q[i - 1]).operator
-        ei = induced_edge_observable(strategy, i, q[0], q[i - 1]).operator
-        tmp = apply_single_qubit(acc, e1, 0)
-        tmp = apply_single_qubit(tmp, ei, i - 1)
+        bits = [(q[0], q[i - 1]) for q in questions]
+        tmp = apply_single_qubit(acc, _edge_stack(strategy, 1, bits), 0)
+        tmp = apply_single_qubit(tmp, _edge_stack(strategy, i, bits), i - 1)
         acc = (acc + tmp) / 2.0
-    value = np.vdot(psi, acc)
-    assert abs(value.imag) < 1e-12
-    return float(value.real)
+    return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
 
 
-def verify_converse_chain(strategy: QuantumStrategy, q, tol: float = IDENTITY_ATOL) -> bool:
-    """Checks, for one question: the simulated winning probability never
+def relaxed_win_bound(strategy: QuantumStrategy, q) -> float:
+    """The relaxation bound on one question."""
+    return float(relaxed_win_bounds(strategy, [q])[0])
+
+
+def verify_converse_chains(strategy: QuantumStrategy, questions, tol: float = IDENTITY_ATOL) -> bool:
+    """Checks, for every question: the simulated winning probability never
     exceeds the relaxation bound; the two parity identities
     O(q1,qi,1) = (-1)^q1 O(q1,1-qi,1) and O(q1,qi,i) = O(1-q1,qi,i); and
-    S^2 + T^2 = I for every pairing."""
+    S^2 + T^2 = I for every pairing.  True when all of them hold."""
     m = strategy.m
     if m > 6:
         raise ValueError("chain verification is exposed for m <= 6")
-    q = tuple(q)
-    p_sim = quantum.winning_probability_simulated(strategy, q)
-    if p_sim > relaxed_win_bound(strategy, q) + tol:
+    questions = [tuple(q) for q in questions]
+    p_sim = quantum.winning_probabilities_simulated(strategy, questions)
+    if np.any(p_sim > relaxed_win_bounds(strategy, questions) + tol):
         return False
+    sign = np.array([-1.0 if q[0] else 1.0 for q in questions])[:, None, None]
     for i in range(2, m + 1):
-        q1, qi = q[0], q[i - 1]
-        first_a = induced_edge_observable(strategy, 1, q1, qi).operator
-        first_b = induced_edge_observable(strategy, 1, q1, 1 - qi).operator
-        sign = -1.0 if q1 else 1.0
-        if np.max(np.abs(first_a - sign * first_b)) > tol:
+        bits = [(q[0], q[i - 1]) for q in questions]
+        first = _edge_stack(strategy, 1, bits) - sign * _edge_stack(strategy, 1, [(q1, 1 - qi) for q1, qi in bits])
+        other = _edge_stack(strategy, i, bits) - _edge_stack(strategy, i, [(1 - q1, qi) for q1, qi in bits])
+        if np.max(np.abs(first)) > tol or np.max(np.abs(other)) > tol:
             return False
-        other_a = induced_edge_observable(strategy, i, q1, qi).operator
-        other_b = induced_edge_observable(strategy, i, 1 - q1, qi).operator
-        if np.max(np.abs(other_a - other_b)) > tol:
-            return False
-        if build_S_T(strategy, i).constraint_residual() > tol:
+        # S and T depend on (strategy, i) alone, but the pair is built once
+        # per question, as the one-question check always did; caching it would
+        # change the edge-observable call count the benchmark pins
+        if any(build_S_T(strategy, i).constraint_residual() > tol for _ in questions):
             return False
     return True
+
+
+def verify_converse_chain(strategy: QuantumStrategy, q, tol: float = IDENTITY_ATOL) -> bool:
+    """The converse chain's checks on one question."""
+    return verify_converse_chains(strategy, [q], tol)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -260,21 +304,65 @@ def run_lemma2_trials(
     are covered evenly.  Returns the worst slack r* - lhs (negative means a
     violation beyond tolerance would be close).
     """
-    worst = math.inf
-    failures = 0
-    for t in range(trials):
-        s = seed + t
-        dim_half = 1 + t % max_dim_half
-        power = 1 + (t // max_dim_half) % max_power
-        pair = random_constrained_pair(dim_half, s)
-        psi = random_state(2 * dim_half, np.random.default_rng((s, 1)))
-        slack = maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
-        worst = min(worst, slack)
-        if slack < -tol:
-            failures += 1
+    slacks = lemma2_slacks(trials, max_dim_half, max_power, seed)
+    failures = int(np.count_nonzero(slacks < -tol))
     return {
         "trials": trials,
         "failures": failures,
-        "worst_slack": worst,
+        "worst_slack": float(slacks.min(initial=math.inf)),
         "passed": failures == 0,
     }
+
+
+def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> np.ndarray:
+    """The slack r* - lhs of each trial of :func:`run_lemma2_trials`, in
+    trial order, from one stacked pass per (block count, exponent) group."""
+    if max_dim_half < 1 or max_power < 1:
+        raise ValueError(f"need at least one block and one exponent, got {max_dim_half} and {max_power}")
+    slacks = np.empty(trials)
+    period = max_dim_half * max_power
+    for first in range(min(period, trials)):
+        dim_half, power = 1 + first % max_dim_half, 1 + first // max_dim_half
+        group = range(first, trials, period)
+        chunk = max(1, LEMMA2_STACK_ENTRIES // (2 * dim_half) ** 2)
+        for start in range(0, len(group), chunk):
+            ids = group[start : start + chunk]
+            slacks[ids] = maximize_r(power).r_star - _lemma2_lhs_trials(ids, dim_half, power, seed)
+    return slacks
+
+
+def _check_trials(ids, excess: np.ndarray, atol: float, what: str) -> None:
+    """Raise ValueError naming the first trial whose ``excess`` is above atol."""
+    bad = np.flatnonzero(excess > atol)
+    if bad.size:
+        raise ValueError(f"trial {ids[bad[0]]}: {what} {excess[bad[0]]:.3e}, above {atol}")
+
+
+def _hermitian_excess(ops: np.ndarray) -> np.ndarray:
+    return np.abs(ops - ops.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+
+
+def _lemma2_lhs_trials(ids, dim_half: int, power: int, seed: int) -> np.ndarray:
+    """lemma2_lhs(random_constrained_pair(dim_half, seed + t), state, power)
+    for each trial t in ``ids`` as one stacked pass, with every check of the
+    one-trial path made per trial."""
+    dim = 2 * dim_half
+    betas = np.empty((len(ids), dim_half))
+    phis = np.empty((len(ids), dim_half))
+    psis = np.empty((len(ids), dim), dtype=complex)
+    for row, trial in enumerate(ids):
+        rng = np.random.default_rng(seed + trial)
+        betas[row] = rng.uniform(0.0, 1.0, dim_half)
+        phis[row] = rng.uniform(0.0, 2.0 * math.pi, dim_half)
+        psis[row] = random_state(dim, np.random.default_rng((seed + trial, 1)))
+    s, t = _block_stacks(betas, phis)
+    _check_trials(ids, _hermitian_excess(s), CONSTRAINT_ATOL, "S deviates from Hermitian by")
+    _check_trials(ids, _hermitian_excess(t), CONSTRAINT_ATOL, "T deviates from Hermitian by")
+    residual = np.abs(s @ s + t @ t - np.eye(dim)).max(axis=(1, 2))
+    _check_trials(ids, residual, CONSTRAINT_ATOL, "constraint residual")
+    eye = np.eye(dim, dtype=complex)
+    ops = matpow(eye + s, power) + matpow(eye + t, power)
+    _check_trials(ids, _hermitian_excess(ops), OPERATOR_ATOL, "operator deviates from Hermitian by")
+    values = np.array([np.vdot(psi, op @ psi) for psi, op in zip(psis, ops)])
+    _check_trials(ids, np.abs(values.imag), IMAG_RESIDUE_ATOL, "imaginary residue")
+    return values.real

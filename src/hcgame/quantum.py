@@ -20,7 +20,7 @@ import numpy as np
 
 from . import game
 from .game import Answer, Bits, FacetAssignment
-from .linalg import apply_single_qubit
+from .linalg import OVERLAP_IMAG_ATOL, apply_single_qubit, real_part
 
 GHZ_MAX_QUBITS = 12
 GRID_POINTS = 4096
@@ -91,9 +91,7 @@ def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
     for player in range(1, m + 1):
         proj = (eye + o[player - 1] * strategy.observable(player, q[player - 1])) / 2.0
         current = apply_single_qubit(current, proj, player - 1)
-    value = np.vdot(psi, current)
-    assert abs(value.imag) < 1e-12
-    return max(float(value.real), 0.0)
+    return max(float(real_part(np.vdot(psi, current), OVERLAP_IMAG_ATOL)), 0.0)
 
 
 def _question_rows(m: int, questions) -> np.ndarray:
@@ -226,9 +224,7 @@ def winning_probabilities_operator(strategy: QuantumStrategy, questions) -> np.n
         tmp = apply_single_qubit(acc, first, 0)
         tmp = apply_single_qubit(tmp, other, i - 1)
         acc = (acc + sign * tmp) / 2.0
-    values = np.array([np.vdot(psi, row) for row in acc])
-    assert np.all(np.abs(values.imag) < 1e-12)
-    return values.real
+    return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
 
 
 def winning_probability_operator(strategy: QuantumStrategy, q: Bits) -> float:

@@ -236,6 +236,7 @@ def test_usage_error_exit_codes():
         ["values", "--m", "2", "--m-range", "2:"],
         ["figure3", "--m-max", "1", "--out", "figure.csv"],
         ["figure3", "--m-max", "65", "--out", "figure.csv"],
+        ["values", "--m", "3", "--m-range", "2:9"],
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, capsys):
@@ -307,8 +308,8 @@ def _failed_lemma2_trials(trials, **_):
         (["lemma3", "--m-max", "8"], "hcgame.inequalities.verify_lemma3", lambda power: power != 3, "two_sided_bounds"),
         (
             ["converse", "--m", "2", "--alpha-samples", "2"],
-            "hcgame.inequalities.verify_converse_chain",
-            lambda strategy, q, tol: False,
+            "hcgame.inequalities.verify_converse_chains",
+            lambda strategy, questions, tol: False,
             "relaxation_and_identities",
         ),
     ],

@@ -15,13 +15,16 @@ from hcgame.inequalities import (
     lemma2_lhs,
     random_constrained_pair,
     random_state,
+    lemma2_slacks,
     relaxed_win_bound,
+    relaxed_win_bounds,
     run_lemma2_trials,
     verify_converse_chain,
+    verify_converse_chains,
     verify_lemma2,
     verify_lemma3,
 )
-from hcgame.linalg import expectation, is_reflection
+from hcgame.linalg import apply_single_qubit, expectation, is_reflection
 from hcgame.quantum import (
     QuantumStrategy,
     ghz_state,
@@ -235,6 +238,91 @@ def test_lemma2_randomized_trials():
     assert report["worst_slack"] >= -1e-9
 
 
+def test_lemma2_slacks_equal_the_one_trial_path():
+    trials, max_dim_half, max_power, seed = 1000, 4, 6, 42
+    slacks = lemma2_slacks(trials, max_dim_half, max_power, seed)
+    assert slacks.shape == (trials,)
+    for t, slack in enumerate(slacks):
+        dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
+        pair = random_constrained_pair(dim_half, seed + t)
+        psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
+        assert slack == maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
+    report = run_lemma2_trials(trials, max_dim_half, max_power, seed)
+    assert report["worst_slack"] == min(slacks.tolist())
+
+
+def test_lemma2_sweep_bounds():
+    assert run_lemma2_trials(0)["worst_slack"] == math.inf
+    for max_dim_half, max_power in ((0, 6), (4, 0)):
+        with pytest.raises(ValueError):
+            run_lemma2_trials(10, max_dim_half=max_dim_half, max_power=max_power)
+
+
+def test_lemma2_trials_stack_in_bounded_chunks(monkeypatch):
+    whole = lemma2_slacks(200, 5, 3, 7)
+    real = ineq._lemma2_lhs_trials
+    passes = []
+
+    def recorded(ids, dim_half, power, seed):
+        passes.append((len(ids), 2 * dim_half))
+        return real(ids, dim_half, power, seed)
+
+    monkeypatch.setattr(ineq, "LEMMA2_STACK_ENTRIES", 64)
+    monkeypatch.setattr(ineq, "_lemma2_lhs_trials", recorded)
+    assert np.array_equal(lemma2_slacks(200, 5, 3, 7), whole)
+    assert sum(size for size, _ in passes) == 200
+    # one trial per pass once a single matrix holds more than the cap
+    assert all(size == 1 or size * dim * dim <= 64 for size, dim in passes)
+
+
+def _break_block(monkeypatch, name, row, change):
+    real = ineq._block_stacks
+
+    def broken(betas, phis):
+        stacks = dict(zip("st", real(betas, phis)))
+        change(stacks[name][row])
+        return stacks["s"], stacks["t"]
+
+    monkeypatch.setattr(ineq, "_block_stacks", broken)
+
+
+def _skew(block):
+    block[0, 1] += 1e-3
+
+
+def _stretch(block):
+    block *= 1.01
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [("s", _skew, "S deviates from Hermitian"), ("t", _skew, "T deviates from Hermitian"), ("t", _stretch, "constraint residual")],
+)
+def test_lemma2_trial_checks_name_the_failing_trial(monkeypatch, name, change, message):
+    # the first (dim_half, power) group holds trials 0, 24, 48, ...; row 1 is trial 24
+    _break_block(monkeypatch, name, 1, change)
+    with pytest.raises(ValueError, match=f"trial 24: {message}"):
+        run_lemma2_trials(100, max_dim_half=4, max_power=6, seed=42)
+
+
+def test_lemma2_operator_checks_name_the_failing_trial(monkeypatch):
+    real = ineq.matpow
+
+    def shifted(ops, power, shift):
+        out = real(ops, power)
+        out[2] += shift * np.eye(out.shape[-1])
+        return out
+
+    # an anti-Hermitian shift of 4e-10 i in total: above the imaginary-residue
+    # bound, within the operator's Hermitian tolerance
+    monkeypatch.setattr(ineq, "matpow", lambda ops, power: shifted(ops, power, 2e-10j))
+    with pytest.raises(ValueError, match="trial 48: imaginary residue"):
+        run_lemma2_trials(100, max_dim_half=4, max_power=6, seed=42)
+    monkeypatch.setattr(ineq, "matpow", lambda ops, power: shifted(ops, power, 1e-6j))
+    with pytest.raises(ValueError, match="trial 48: operator deviates from Hermitian"):
+        run_lemma2_trials(100, max_dim_half=4, max_power=6, seed=42)
+
+
 def test_lemma2_classical_reduction():
     # deterministic strategies reduce the paired operators to scalars with
     # S = 0, T = +/-1 or S = +/-1, T = 0; the bound caps them at 2^M + 1
@@ -304,6 +392,82 @@ def test_converse_chain_negative_control(monkeypatch):
 
     monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
     assert not verify_converse_chain(s, (0, 0))
+    assert not verify_converse_chains(s, list(all_questions(2)))
+
+
+def _converse_chain_one_question(strategy, q, tol):
+    # the chain's checks on one question, edge by edge
+    if winning_probability_simulated(strategy, q) > _relaxed_win_bound_one_state(strategy, q) + tol:
+        return False
+    for i in range(2, strategy.m + 1):
+        q1, qi = q[0], q[i - 1]
+        sign = -1.0 if q1 else 1.0
+        first = induced_edge_observable(strategy, 1, q1, qi).operator
+        if np.max(np.abs(first - sign * induced_edge_observable(strategy, 1, q1, 1 - qi).operator)) > tol:
+            return False
+        other = induced_edge_observable(strategy, i, q1, qi).operator
+        if np.max(np.abs(other - induced_edge_observable(strategy, i, 1 - q1, qi).operator)) > tol:
+            return False
+        if build_S_T(strategy, i).constraint_residual() > tol:
+            return False
+    return True
+
+
+def test_converse_chains_give_the_verdict_of_one_row_calls():
+    verdicts = set()
+    for m in (2, 3, 4, 5):
+        questions = list(all_questions(m))
+        for alpha in (0.0, 0.4, math.pi / 4, math.pi / 2):
+            s = QuantumStrategy(m, alpha)
+            # below 1e-15 the rounding of the bound and of S^2 + T^2 decides,
+            # so some strategies fail on some questions
+            for tol in (1e-10, 1.2e-16, 1e-16, 0.0):
+                verdict = verify_converse_chains(s, questions, tol)
+                assert verdict == all(verify_converse_chain(s, q, tol) for q in questions)
+                assert verdict == all(_converse_chain_one_question(s, q, tol) for q in questions)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(ValueError):
+        verify_converse_chains(QuantumStrategy(7, 0.3), [(0,) * 7])
+
+
+def _relaxed_win_bound_one_state(strategy, q):
+    # one question on a single statevector, edge by edge
+    psi = ghz_state(strategy.m)
+    acc = psi
+    for i in range(2, strategy.m + 1):
+        e1 = induced_edge_observable(strategy, 1, q[0], q[i - 1]).operator
+        ei = induced_edge_observable(strategy, i, q[0], q[i - 1]).operator
+        acc = (acc + apply_single_qubit(apply_single_qubit(acc, e1, 0), ei, i - 1)) / 2.0
+    return float(np.vdot(psi, acc).real)
+
+
+def test_relaxed_win_bounds_match_one_row_calls():
+    for m in (2, 3, 4, 5):
+        questions = list(all_questions(m))
+        for alpha in (0.0, 0.3, math.pi / 3):
+            s = QuantumStrategy(m, alpha)
+            bounds = relaxed_win_bounds(s, questions)
+            assert bounds.shape == (len(questions),)
+            for bound, q in zip(bounds, questions):
+                assert abs(bound - relaxed_win_bound(s, q)) <= 1e-15
+                assert abs(bound - _relaxed_win_bound_one_state(s, q)) <= 1e-15
+    with pytest.raises(ValueError):
+        relaxed_win_bounds(QuantumStrategy(3, 0.3), [])
+
+
+def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
+    s = QuantumStrategy(2, 0.6)
+    real = ineq.induced_edge_observable
+
+    def twisted(strategy, owner, q1, qi):
+        # complex symmetric, not Hermitian
+        op = real(strategy, owner, q1, qi).operator
+        return ineq.EdgeObservable(owner, q1, qi, op + 0.1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    monkeypatch.setattr(ineq, "induced_edge_observable", twisted)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        relaxed_win_bounds(s, [(0, 0), (1, 1)])
 
 
 def test_random_state_normalized():

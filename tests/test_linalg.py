@@ -84,6 +84,20 @@ def test_matpow_basic():
         matpow(m, 65)
 
 
+def test_matpow_on_a_stack_equals_matrix_by_matrix():
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        for k in range(0, 10):
+            powers = matpow(stack, k)
+            assert powers.shape == stack.shape
+            for single, power in zip(stack, powers):
+                assert np.array_equal(power, matpow(single, k))
+    for bad in (np.zeros((0, 2, 2)), np.zeros((3, 2, 3)), np.zeros((2, 2, 2, 2))):
+        with pytest.raises(ValueError):
+            matpow(bad, 2)
+
+
 def test_matpow_additivity_on_contractions():
     rng = np.random.default_rng(3)
     for _ in range(10):

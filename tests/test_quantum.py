@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hcgame import game
+from hcgame import game, quantum
 from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
 from hcgame.linalg import is_reflection
 from hcgame.cli import verify_quantum
@@ -365,3 +365,21 @@ def test_batched_simulation_rejects_bad_questions():
         for fn in (outcome_distributions, winning_probabilities_simulated, winning_probabilities_operator):
             with pytest.raises(ValueError):
                 fn(s, questions)
+
+
+def _twisted_z_entries(theta):
+    # complex symmetric, not Hermitian: the GHZ overlaps pick up a phase
+    c, s = math.cos(theta), math.sin(theta)
+    off = (1 + 1j) / SQRT2 * s
+    return [[c, off], [off, -c]]
+
+
+def test_imaginary_residue_raises_value_error(monkeypatch):
+    # a raised error, not an assert, so the check survives python -O
+    s = QuantumStrategy(2, 0.6)
+    assert abs(winning_probability_operator(s, (1, 0)) - winning_probability_simulated(s, (1, 0))) <= 1e-12
+    monkeypatch.setattr(quantum, "_z_entries", _twisted_z_entries)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        winning_probabilities_operator(s, [(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="imaginary residue"):
+        outcome_probability(s, (1, 0), (1, 1))
