@@ -96,15 +96,15 @@ def _suite(suite: str, seed: int, checks: list[tuple[dict, bool]], **fields) -> 
 
 
 class UnwritablePathError(OSError):
-    """An output path that cannot be opened; the CLI reports it as a usage error."""
+    """An output path that cannot be written; the CLI reports it as a usage error."""
 
 
-def _open_out(path: str | None):
-    """The file to write a command's output to: stdout when no path is given."""
-    if path is None:
-        return contextlib.nullcontext(sys.stdout)
+@contextlib.contextmanager
+def _open_out(path: str):
+    """An output file; an error opening, writing or closing it is an UnwritablePathError."""
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise UnwritablePathError(f"cannot write {path}: {exc}") from exc
 
@@ -333,7 +333,7 @@ def _m_values(m: int | None, m_top: int) -> list[int]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="base seed echoed in reports")
+    parser.add_argument("--seed", type=_int_range(0), default=DEFAULT_SEED, help="base seed echoed in reports")
     # a string default goes through the type check, so a bad HCGAME_JOBS exits 2
     parser.add_argument(
         "--jobs",
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_values(args) -> int:
     lo, hi = (args.m, args.m) if args.m is not None else args.m_range
     rows = [value_row(m) for m in range(lo, hi + 1)]
-    with _open_out(args.out) as out:
+    with contextlib.nullcontext(sys.stdout) if args.out is None else _open_out(args.out) as out:
         if args.format == "csv":
             # the columns are value_row's keys, in its order
             out.write(",".join(rows[0]) + "\n")

@@ -5,27 +5,21 @@ symmetric under flipping the first coordinate.  Player 1's facet labelling
 determines such a labelling completely, so for each question there are
 exactly 2^(2^(m-1)-1) winning support answers (player 1's parity eats one
 bit of freedom), each carried with the same rational weight.  All checks
-below run in exact rational arithmetic.
+below run in exact arithmetic, over one integer mask array per question.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .game import (
-    Answer,
-    Bits,
-    FacetAssignment,
-    all_questions,
-    answer_from_masks,
-    batch_predicate,
-    _facet_indices,
-    _facet_position,
-)
+import numpy as np
+
+from .game import Answer, Bits, all_questions, answer_from_masks, batch_predicate
+from .game import _facet_indices, _facet_position, _mask_bits
 
 NS_MAX_DIMENSION = 4
 
@@ -38,11 +32,22 @@ class SparseCorrelation:
 
     ``support`` maps each question to the tuple of winning answers, every
     answer encoded as per-player facet masks, sorted by that canonical key.
+    It is never changed after construction, so ``mask_arrays`` is kept.
     """
 
     m: int
     weight: Fraction
     support: dict[Bits, tuple[MaskTuple, ...]]
+
+    @cached_property
+    def mask_arrays(self) -> dict[Bits, np.ndarray]:
+        """``support`` as one (E, m) uint64 array per question, row n holding entry
+        n's masks; a mask wider than its facet (its key could alias) raises ValueError."""
+        width = 1 << (self.m - 1)
+        arrays = {q: np.array(e, dtype=np.uint64).reshape(len(e), self.m) for q, e in self.support.items()}
+        if width < 64 and any((masks >> np.uint64(width)).any() for masks in arrays.values()):
+            raise ValueError(f"mask out of range for facet of size {width}")
+        return arrays
 
     def probability(self, q: Bits, masks: MaskTuple) -> Fraction:
         if tuple(masks) in self.support.get(tuple(q), ()):
@@ -84,27 +89,6 @@ def in_Z(answer: Answer, q: Bits) -> bool:
     return True
 
 
-def _parity_masks(m: int, q1: int) -> list[int]:
-    size = 1 << (m - 1)
-    return [mask for mask in range(1 << size) if mask.bit_count() & 1 == q1]
-
-
-def _complete_from_player1(m: int, q: Bits, mask1: int) -> MaskTuple:
-    """Extend player 1's labelling to the unique symmetric global answer."""
-    pos1 = _facet_position(m, 1, q[0])
-    low = (1 << (m - 1)) - 1
-    top = q[0] << (m - 1)
-    masks = [mask1]
-    for i in range(2, m + 1):
-        mask = 0
-        for k, encoding in enumerate(_facet_indices(m, i, q[i - 1])):
-            projected = (encoding & low) | top
-            bit = (mask1 >> pos1[projected]) & 1
-            mask |= bit << k
-        masks.append(mask)
-    return tuple(masks)
-
-
 def build_ns_correlation(m: int) -> SparseCorrelation:
     """Enumerate the support for every question with uniform weight
     1 / 2^(2^(m-1)-1)."""
@@ -112,35 +96,58 @@ def build_ns_correlation(m: int) -> SparseCorrelation:
         raise ValueError(
             f"support generation is exponential in 2^(m-1); supported m is 2..{NS_MAX_DIMENSION}"
         )
-    weight = Fraction(1, 2 ** (2 ** (m - 1) - 1))
+    size = 1 << (m - 1)
+    player1 = np.arange(1 << size, dtype=np.uint64)
+    bits = _mask_bits(player1, size)
+    place = np.uint64(1) << np.arange(size, dtype=np.uint64)
     support: dict[Bits, tuple[MaskTuple, ...]] = {}
     for q in all_questions(m):
-        entries = sorted(_complete_from_player1(m, q, mask1) for mask1 in _parity_masks(m, q[0]))
-        support[q] = tuple(entries)
-    return SparseCorrelation(m, weight, support)
+        rows = (bits.sum(axis=1) & 1) == q[0]
+        pos1 = _facet_position(m, 1, q[0])
+        columns = [player1[rows]]
+        for i in range(2, m + 1):
+            # each vertex of player i's facet takes player 1's label on its x1-flip orbit
+            source = [pos1[_first_coordinate_rep(e, m) | (q[0] << (m - 1))] for e in _facet_indices(m, i, q[i - 1])]
+            columns.append((bits[rows][:, source] * place).sum(axis=1, dtype=np.uint64))
+        # player 1's masks are distinct and ascending, so the rows are sorted as tuples
+        support[q] = tuple(map(tuple, np.stack(columns, axis=1).tolist()))
+    return SparseCorrelation(m, Fraction(1, 2 ** (size - 1)), support)
+
+
+def _packed(masks: np.ndarray, width: int) -> np.ndarray:
+    """One key per row of an (E, k) mask array: the row's masks concatenated,
+    column 0 most significant, each field ``width`` bits wide.  Keys of up to
+    64 bits are uint64, wider ones Python integers, so none wraps around."""
+    dtype = np.uint64 if width * masks.shape[1] <= 64 else object
+    keys = np.zeros(masks.shape[0], dtype=dtype)
+    for column in masks.T.astype(dtype, copy=False):
+        keys = (keys << np.array(width, dtype=dtype)) | column
+    return keys
 
 
 def verify_normalization(corr: SparseCorrelation) -> bool:
-    """Exact check that the weights sum to 1 for every question."""
-    if set(corr.support) != set(all_questions(corr.m)):
-        return False
-    return all(corr.weight * len(entries) == 1 for entries in corr.support.values())
+    """Exact check that every question's entries are distinct answers whose
+    weights sum to 1 (a repeated entry would count its answer twice)."""
+    keys = [np.sort(_packed(masks, 1 << (corr.m - 1))) for masks in corr.mask_arrays.values()]
+    return set(corr.support) == set(all_questions(corr.m)) and all(
+        corr.weight * len(k) == 1 and not (k[1:] == k[:-1]).any() for k in keys
+    )
 
 
 def verify_no_signalling(corr: SparseCorrelation, subset_size: int) -> bool:
     """Marginals of any player subset of the given size depend only on that
     subset's question bits.  Every support entry carries the same weight, so
-    two marginals are equal exactly when their entry counts are: each
-    question's counts are compared with those of the first question that
-    has the same subset bits."""
+    two marginals are equal exactly when the sorted keys of the subset's
+    masks are: each question's keys are compared with those of the first
+    question that has the same subset bits."""
     m = corr.m
     if not 1 <= subset_size <= m:
         raise ValueError(f"subset size must be in [1, {m}], got {subset_size}")
     for subset in itertools.combinations(range(m), subset_size):
-        reference: dict[Bits, Counter[MaskTuple]] = {}
-        for q, entries in corr.support.items():
-            counts = Counter(tuple(masks[j] for j in subset) for masks in entries)
-            if reference.setdefault(tuple(q[j] for j in subset), counts) != counts:
+        reference: dict[Bits, np.ndarray] = {}
+        for q, masks in corr.mask_arrays.items():
+            keys = np.sort(_packed(masks[:, subset], 1 << (m - 1)))
+            if not np.array_equal(reference.setdefault(tuple(q[j] for j in subset), keys), keys):
                 return False
     return True
 
@@ -148,28 +155,21 @@ def verify_no_signalling(corr: SparseCorrelation, subset_size: int) -> bool:
 def ns_winning_probability(corr: SparseCorrelation) -> Fraction:
     """Exact average winning probability over uniform questions: every
     support answer carries the same weight, so this counts winning entries."""
-    wins = sum(
-        int(batch_predicate(corr.m, q, entries).sum()) for q, entries in corr.support.items()
-    )
+    wins = sum(int(batch_predicate(corr.m, q, masks).sum()) for q, masks in corr.mask_arrays.items())
     return Fraction(wins, 2 ** corr.m) * corr.weight
 
 
 def answer_encoding(m: int, masks: MaskTuple) -> int:
     """Single-integer answer key: per-player masks concatenated, player 1
     most significant, each field 2^(m-1) bits wide."""
-    width = 1 << (m - 1)
-    encoding = 0
-    for mask in masks:
-        encoding = (encoding << width) | mask
-    return encoding
+    return int(_packed(np.array([masks], dtype=np.uint64), 1 << (m - 1))[0])
 
 
 def export_lines(corr: SparseCorrelation):
-    """JSON lines {q, a, p}: question bits, canonical answer key, exact weight."""
-    p = f"{corr.weight.numerator}/{corr.weight.denominator}"
+    """JSON lines {q, a, p}: question bits, canonical answer key, exact weight,
+    each the bytes ``json.dumps(..., separators=(",", ":"))`` writes."""
+    p = json.dumps(f"{corr.weight.numerator}/{corr.weight.denominator}")
     for q in sorted(corr.support):
-        for masks in corr.support[q]:
-            yield json.dumps(
-                {"q": list(q), "a": answer_encoding(corr.m, masks), "p": p},
-                separators=(",", ":"),
-            )
+        head = '{"q":' + json.dumps(list(q), separators=(",", ":")) + ',"a":'
+        for key in _packed(corr.mask_arrays[q], 1 << (corr.m - 1)).tolist():
+            yield f'{head}{key},"p":{p}}}'

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -95,22 +96,37 @@ def test_figure3_matches_values_and_is_reproducible(tmp_path, capsys):
     assert lines[2] == f"3,{row['omega_c']},{row['omega_q']},{row['omega_ns']}"
 
 
-def test_figure3_unwritable_path(tmp_path, capsys):
+class _FullDisk(io.StringIO):
+    """A file whose every write fails, as on a full device."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_figure3_unwritable_path(tmp_path, capsys, monkeypatch):
     # every command that writes a file: a missing directory, a directory given
-    # as the file and an empty path are usage errors, and nothing is printed
-    for path in (tmp_path / "no-such-dir" / "out", tmp_path, ""):
-        for argv in (
-            ["figure3", "--m-max", "4", "--out", str(path)],
-            ["values", "--m-range", "2:4", "--out", str(path)],
-            ["verify", "nosignalling", "--m", "2", "--export", str(path)],
-        ):
-            with pytest.raises(SystemExit) as err:
-                main(argv)
-            assert err.value.code == 2, argv
-            captured = capsys.readouterr()
-            assert "usage:" in captured.err and "cannot write" in captured.err, argv
-            assert "Traceback" not in captured.err
-            assert captured.out == ""
+    # as the file, an empty path and a write that fails after the open (a
+    # full device) are usage errors, and nothing is printed
+    def assert_usage_errors(paths):
+        for path in paths:
+            for argv in (
+                ["figure3", "--m-max", "4", "--out", str(path)],
+                ["values", "--m-range", "2:4", "--out", str(path)],
+                ["verify", "nosignalling", "--m", "2", "--export", str(path)],
+            ):
+                with pytest.raises(SystemExit) as err:
+                    main(argv)
+                assert err.value.code == 2, argv
+                captured = capsys.readouterr()
+                assert "usage:" in captured.err and "cannot write" in captured.err, argv
+                assert "Traceback" not in captured.err
+                assert captured.out == ""
+
+    full = [Path("/dev/full")] if Path("/dev/full").exists() else []
+    assert_usage_errors([tmp_path / "no-such-dir" / "out", tmp_path, "", *full])
+    # the same write-time failure where no full device exists
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullDisk(), raising=False)
+    assert_usage_errors([tmp_path / "out"])
 
 
 def test_verify_classical_m2(capsys):
@@ -237,6 +253,8 @@ def test_usage_error_exit_codes():
         ["figure3", "--m-max", "1", "--out", "figure.csv"],
         ["figure3", "--m-max", "65", "--out", "figure.csv"],
         ["values", "--m", "3", "--m-range", "2:9"],
+        ["verify", "lemma2", "--seed", "-1"],
+        ["verify", "all", "--quick", "--seed", "-1"],
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, capsys):
@@ -360,7 +378,7 @@ def _is_str(v):
     return type(v) is str
 
 
-COMMON_BOUNDS = {"--seed": lambda v: type(v) is int, "--jobs": _at_least(1)}
+COMMON_BOUNDS = {"--seed": _at_least(0), "--jobs": _at_least(1)}
 TOL = {"--tol": _tolerance}
 # the bounds each subcommand documents, flag by flag; None marks a bare switch
 PARSE_BOUNDS = {

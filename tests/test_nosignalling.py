@@ -2,11 +2,21 @@ import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hcgame.game import FacetAssignment, Answer, all_questions, answer_from_masks, predicate
+from hcgame.game import (
+    FacetAssignment,
+    Answer,
+    all_questions,
+    answer_from_masks,
+    predicate,
+    _facet_indices,
+    _facet_position,
+)
 from hcgame.nosignalling import (
     SparseCorrelation,
+    _packed,
     answer_encoding,
     build_ns_correlation,
     export_lines,
@@ -49,6 +59,37 @@ def test_in_Z_requires_symmetry():
     )
     assert predicate(a, q) == 1
     assert not in_Z(a, q)
+
+
+def _oracle_support(m):
+    # per entry, per bit: complete each parity-respecting player-1 labelling
+    # to the unique labelling symmetric under flipping x1
+    size = 1 << (m - 1)
+    low = size - 1
+    support = {}
+    for q in all_questions(m):
+        pos1 = _facet_position(m, 1, q[0])
+        top = q[0] << (m - 1)
+        entries = []
+        for mask1 in range(1 << size):
+            if mask1.bit_count() & 1 != q[0]:
+                continue
+            masks = [mask1]
+            for i in range(2, m + 1):
+                mask = 0
+                for k, encoding in enumerate(_facet_indices(m, i, q[i - 1])):
+                    mask |= ((mask1 >> pos1[(encoding & low) | top]) & 1) << k
+                masks.append(mask)
+            entries.append(tuple(masks))
+        support[q] = tuple(sorted(entries))
+    return support
+
+
+def test_support_equals_per_entry_oracle():
+    for m in (2, 3, 4):
+        support = build_ns_correlation(m).support
+        assert support == _oracle_support(m)
+        assert all(type(mask) is int for entries in support.values() for masks in entries for mask in masks)
 
 
 def test_support_sizes_and_weights():
@@ -94,6 +135,19 @@ def test_normalization_negative_control():
         {q: (entries[:-1] if q == (0, 0) else entries) for q, entries in corr.support.items()},
     )
     assert not verify_normalization(broken)
+    # every answer twice over half the support: the weights of the entries sum
+    # to 1 and every entry wins, but the distinct answers carry only 1/2
+    doubled = SparseCorrelation(2, corr.weight, {q: (e[0], e[0]) for q, e in corr.support.items()})
+    assert ns_winning_probability(doubled) == 1
+    assert sum(doubled.probability((0, 0), masks) for masks in set(doubled.support[(0, 0)])) == Fraction(1, 2)
+    assert not verify_normalization(doubled)
+
+
+def test_masks_wider_than_a_facet_are_refused():
+    corr = build_ns_correlation(2)
+    wide = SparseCorrelation(2, corr.weight, {**corr.support, (0, 0): ((0, 0), (0, 4))})
+    with pytest.raises(ValueError, match="out of range"):
+        verify_normalization(wide)
 
 
 def test_no_signalling_all_sizes_small_m():
@@ -136,19 +190,52 @@ def _fraction_marginals_agree(corr, subset_size):
     return True
 
 
-def test_no_signalling_counts_match_fraction_sums():
-    corr = build_ns_correlation(3)
-    q = (1, 0, 1)
+def _tampered_boxes(m):
+    corr = build_ns_correlation(m)
+    q = (1, 0, 1, 0)[:m]
+    # player 3's mask of one entry has one bit flipped: still normalised, but it signals
     entries = list(corr.support[q])
-    # player 3's mask of one entry flipped: still normalised, but it signals
     first = entries[0]
-    entries[0] = (first[0], first[1], first[2] ^ 1)
-    tampered = SparseCorrelation(3, corr.weight, {**corr.support, q: tuple(entries)})
-    assert verify_normalization(tampered)
-    for c in (corr, tampered):
-        for size in (1, 2, 3):
-            assert verify_no_signalling(c, size) == _fraction_marginals_agree(c, size)
-    assert not verify_no_signalling(tampered, 1)
+    entries[0] = (*first[:2], first[2] ^ 1, *first[3:])
+    yield SparseCorrelation(m, corr.weight, {**corr.support, q: tuple(entries)})
+    # one entry swapped between two questions that differ only in player m's bit
+    r = q[:-1] + (1 - q[-1],)
+    mine, theirs = list(corr.support[q]), list(corr.support[r])
+    mine[3], theirs[5] = theirs[5], mine[3]
+    yield SparseCorrelation(m, corr.weight, {**corr.support, q: tuple(mine), r: tuple(theirs)})
+
+
+def test_no_signalling_counts_match_fraction_sums():
+    verdicts = set()
+    for m in (2, 3, 4):
+        boxes = [build_ns_correlation(m), *(_tampered_boxes(m) if m >= 3 else ())]
+        for c in boxes:
+            for size in range(1, m + 1):
+                verdict = verify_no_signalling(c, size)
+                assert verdict == _fraction_marginals_agree(c, size), (m, size)
+                verdicts.add(verdict)
+        for c in boxes[1:]:
+            assert verify_normalization(c)
+            assert not verify_no_signalling(c, 1)
+    assert verdicts == {True, False}
+
+
+def test_keys_wider_than_64_bits_stay_exact():
+    # m = 5: a full row is 5 fields of 16 bits, so its key needs 80 bits
+    assert _packed(np.array([[1, 0, 0, 0, 2]], dtype=np.uint64), 16).tolist() == [(1 << 64) | 2]
+    assert _packed(np.array([[1, 0, 0, 2]], dtype=np.uint64), 16).dtype == np.uint64
+    # rows that differ only in player 1's field, which a 64-bit key would drop
+    pairs = {q: ((0, 0, 0, 0, 0), (1, 0, 0, 0, 0)) for q in all_questions(5)}
+    assert verify_normalization(SparseCorrelation(5, Fraction(1, 2), pairs))
+    rng = np.random.default_rng(5)
+    random_box = SparseCorrelation(
+        5,
+        Fraction(1, 3),
+        {q: tuple(tuple(row) for row in rng.integers(0, 4, size=(3, 5)).tolist()) for q in all_questions(5)},
+    )
+    for c in (SparseCorrelation(5, Fraction(1, 2), pairs), random_box):
+        for size in range(1, 6):
+            assert verify_no_signalling(c, size) == _fraction_marginals_agree(c, size), size
 
 
 def test_subset_size_validation():
@@ -181,6 +268,28 @@ def test_answer_encoding_and_export():
     assert first["q"] == [0, 0]
     assert first["p"] == "1/2"
     assert isinstance(first["a"], int)
+
+
+def _encoding(m, masks):
+    encoding = 0
+    for mask in masks:
+        encoding = (encoding << (1 << (m - 1))) | mask
+    return encoding
+
+
+def test_export_equals_json_dumps_per_line():
+    for m in (2, 3, 4):
+        corr = build_ns_correlation(m)
+        p = f"{corr.weight.numerator}/{corr.weight.denominator}"
+        expected = [
+            json.dumps({"q": list(q), "a": _encoding(m, masks), "p": p}, separators=(",", ":"))
+            for q in sorted(corr.support)
+            for masks in corr.support[q]
+        ]
+        assert list(export_lines(corr)) == expected
+        assert [answer_encoding(m, masks) for masks in corr.support[(1,) * m]] == [
+            _encoding(m, masks) for masks in corr.support[(1,) * m]
+        ]
 
 
 def test_probability_lookup():
