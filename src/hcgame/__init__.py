@@ -28,7 +28,6 @@ from .game import (
 )
 from .inequalities import (
     ConstrainedPair,
-    EdgeObservable,
     build_S_T,
     chsh_style_pair,
     induced_edge_observable,

@@ -16,10 +16,10 @@ from .game import (
     Answer,
     FacetAssignment,
     all_questions,
-    batch_predicate,
     predicate,
     required_parity,
     validate_dimension,
+    win_table,
 )
 
 
@@ -91,8 +91,8 @@ def _win_totals(m: int, restrict_parity: bool) -> tuple[list, np.ndarray]:
 
     The grid has one axis per (player 1 bit 0, player 1 bit 1, player 2 bit
     0, ...).  Each question's win table covers only the labellings that
-    question uses (one batched predicate call over every combination) and
-    is broadcast over the full grid, so no strategy tuple is materialised.
+    question uses and is broadcast over the full grid, so no strategy tuple
+    is materialised.
     """
     candidates = [
         [_assignment_masks(m, player, bit, restrict_parity) for bit in (0, 1)]
@@ -101,14 +101,9 @@ def _win_totals(m: int, restrict_parity: bool) -> tuple[list, np.ndarray]:
     shape = tuple(len(candidates[p][b]) for p in range(m) for b in (0, 1))
     totals = np.zeros(shape, dtype=np.int32)
     for q in all_questions(m):
-        used = [candidates[i][q[i]] for i in range(m)]
-        grids = np.meshgrid(*used, indexing="ij")
-        masks = np.stack([g.ravel() for g in grids], axis=1)
-        table = batch_predicate(m, q, masks).astype(np.int32).reshape(grids[0].shape)
-        view = [1] * len(shape)
-        for i in range(m):
-            view[2 * i + q[i]] = table.shape[i]
-        totals += table.reshape(view)
+        table = win_table(m, q, [candidates[i][q[i]] for i in range(m)]).astype(np.int32)
+        # unit axes for the bits the question does not ask
+        totals += np.expand_dims(table, tuple(2 * i + 1 - q[i] for i in range(m)))
     return candidates, totals
 
 

@@ -2,7 +2,7 @@
 
 Exit codes follow the CI contract: 0 on pass, 1 on verification failure,
 2 on usage errors.  All work runs serially, so output is byte-reproducible;
---jobs (and HCGAME_JOBS) is still accepted and validated but changes nothing.
+--jobs is still accepted and validated but changes nothing.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -34,6 +33,9 @@ VALUES_MAX_M = 64
 # past about M = 536 the lemma 3 lower bound M * 2^-(2M+1) is no longer a
 # normal double, so its comparisons stop meaning anything
 LEMMA3_MAX_POWER = 510
+# caps on work counts, so a huge count is a usage error, not a MemoryError mid-suite
+MAX_TRIALS = 1_000_000
+MAX_ALPHA_SAMPLES = 4096
 
 
 def _fmt(x) -> str:
@@ -334,13 +336,7 @@ def _m_values(m: int | None, m_top: int) -> list[int]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_int_range(0), default=DEFAULT_SEED, help="base seed echoed in reports")
-    # a string default goes through the type check, so a bad HCGAME_JOBS exits 2
-    parser.add_argument(
-        "--jobs",
-        type=_int_range(1),
-        default=os.environ.get("HCGAME_JOBS", "1"),
-        help="accepted for compatibility; all work runs serially (HCGAME_JOBS mirrors this)",
-    )
+    parser.add_argument("--jobs", type=_int_range(1), default=1, help="accepted for compatibility; all work runs serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -375,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_quantum = suites.add_parser("quantum")
     v_quantum.add_argument("--m", type=_int_range(2, 6), default=None, help="single m; default sweeps 2..6")
-    v_quantum.add_argument("--alpha-samples", type=_int_range(1), default=32)
+    v_quantum.add_argument("--alpha-samples", type=_int_range(1, MAX_ALPHA_SAMPLES), default=32)
     v_quantum.add_argument("--tol", type=_tolerance, default=1e-9)
     v_quantum.set_defaults(report=lambda a: verify_quantum(_m_values(a.m, 6), a.alpha_samples, a.tol, a.seed))
     _add_common(v_quantum)
@@ -388,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(v_ns)
 
     v_l2 = suites.add_parser("lemma2")
-    v_l2.add_argument("--trials", type=_int_range(1), default=1000)
+    v_l2.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=1000)
     v_l2.add_argument("--dim", type=_even_int_range(2, linalg.MAX_MATRIX_DIM), default=8)
     v_l2.add_argument("--max-power", type=_int_range(1, linalg.MAX_MATRIX_POWER), default=6)
     v_l2.add_argument("--tol", type=_tolerance, default=1e-9)
@@ -402,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_conv = suites.add_parser("converse")
     v_conv.add_argument("--m", type=_int_range(2, 5), default=None, help="single m; default sweeps 2..5")
-    v_conv.add_argument("--alpha-samples", type=_int_range(1), default=16)
+    v_conv.add_argument("--alpha-samples", type=_int_range(1, MAX_ALPHA_SAMPLES), default=16)
     v_conv.add_argument("--tol", type=_tolerance, default=1e-10)
     v_conv.set_defaults(report=lambda a: verify_converse(_m_values(a.m, 5), a.alpha_samples, a.tol, a.seed))
     _add_common(v_conv)

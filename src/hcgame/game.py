@@ -141,13 +141,6 @@ class FacetAssignment:
         """Signs in facet order, as a tuple of +1/-1."""
         return tuple(1 - 2 * ((self.mask >> k) & 1) for k in range(self.size))
 
-    @property
-    def values_array(self) -> np.ndarray:
-        nbytes = (self.size + 7) // 8
-        raw = np.frombuffer(self.mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")[: self.size]
-        return 1 - 2 * bits.astype(np.int8)
-
     def vertices(self) -> list[Bits]:
         return facet_vertices(self.m, self.player, self.question_bit)
 
@@ -211,12 +204,18 @@ def parity_ok(assignment: FacetAssignment) -> bool:
     return (assignment.mask.bit_count() & 1) == required
 
 
+def mask_dtype(width: int):
+    """The dtype that holds masks of ``width`` bits without wrapping around:
+    uint64 up to 64 bits, Python integers (object) above."""
+    return np.uint64 if width <= 64 else object
+
+
 def _mask_bits(masks: np.ndarray, size: int) -> np.ndarray:
     """Unpack an integer array of facet masks to its bits along a new last
     axis of length size (bit k of a mask is the label of facet vertex k)."""
     if masks.dtype.kind != "u" and (masks < 0).any():
         raise ValueError("masks must be non-negative")
-    if size <= 64:
+    if mask_dtype(size) is np.uint64:
         wide = masks.astype(np.uint64)
         if size < 64 and (wide >> np.uint64(size)).any():
             raise ValueError(f"mask out of range for facet of size {size}")
@@ -274,6 +273,21 @@ def batch_predicate(m: int, q: Bits, masks) -> np.ndarray:
     """Win bits (uint8) of N answers to question q, given as an (N, m) mask array."""
     parity, agree = _rule_checks(m, q, masks)
     return (parity & agree).astype(np.uint8)
+
+
+def win_table(m: int, q: Bits, candidates) -> np.ndarray:
+    """Win bits (uint8) of every answer to question q that takes one mask from
+    each player's list of candidates (non-negative Python integers), with
+    shape (K_1, ..., K_m) for K_i candidates of player i."""
+    validate_dimension(m)
+    if len(candidates) != m:
+        raise ValueError(f"expected candidate masks for {m} players, got {len(candidates)}")
+    shape = tuple(len(column) for column in candidates)
+    masks = np.empty(shape + (m,), dtype=mask_dtype(1 << (m - 1)))
+    for i, column in enumerate(candidates):
+        # trailing unit axes broadcast player i's masks along axis i
+        masks[..., i] = np.array(column, dtype=masks.dtype).reshape((-1,) + (1,) * (m - 1 - i))
+    return batch_predicate(m, q, masks.reshape(-1, m)).reshape(shape)
 
 
 def _one_row(answer: Answer) -> np.ndarray:
@@ -380,26 +394,3 @@ def all_answers(m: int, q: Bits):
     for masks in itertools.product(range(1 << size), repeat=m):
         yield answer_from_masks(m, q, masks)
 
-
-def question_to_json(q: Bits) -> list[int]:
-    return [int(b) for b in q]
-
-
-def answer_to_json(answer: Answer) -> dict:
-    """JSON form: question bits as 0/1, labels as +1/-1 integers."""
-    return {
-        "m": answer.m,
-        "q": question_to_json(answer.question),
-        "assignments": [[int(v) for v in fa.values] for fa in answer.assignments],
-    }
-
-
-def answer_from_json(data: dict) -> Answer:
-    m = int(data["m"])
-    q = tuple(int(b) for b in data["q"])
-    return Answer(
-        tuple(
-            FacetAssignment.from_values(m, i + 1, q[i], data["assignments"][i])
-            for i in range(m)
-        )
-    )

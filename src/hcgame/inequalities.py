@@ -24,15 +24,12 @@ from . import game, quantum
 from .linalg import (
     IMAG_RESIDUE_ATOL,
     OPERATOR_ATOL,
-    OVERLAP_IMAG_ATOL,
-    apply_single_qubit,
     expectation,
     is_reflection,
     matpow,
-    real_part,
     tensor,
 )
-from .quantum import QuantumStrategy, ghz_state, maximize_r, r_excess_scaled
+from .quantum import QuantumStrategy, maximize_r, r_excess_scaled
 
 CONSTRAINT_ATOL = 1e-9
 IDENTITY_ATOL = 1e-10
@@ -41,16 +38,6 @@ EDGE_CACHE_SIZE = 1024
 # a stacked lemma-2 pass takes as many trials as keep each (K, d, d) stack
 # at about this many entries (1 MB of complex doubles)
 LEMMA2_STACK_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class EdgeObservable:
-    """Single-qubit operator sum_a Pi(a) M^a for one player and one edge."""
-
-    owner: int
-    q1: int
-    qi: int
-    operator: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,8 +77,9 @@ class ConstrainedPair:
 @lru_cache(maxsize=EDGE_CACHE_SIZE)
 def induced_edge_observable(
     strategy: QuantumStrategy, owner: int, q1: int, qi: int
-) -> EdgeObservable:
-    """Weight the owner's projectors by their intersection products.
+) -> np.ndarray:
+    """The single-qubit operator sum_a Pi(a) M^a for one player and one edge:
+    the owner's projectors weighted by their intersection products.
 
     For player 1 the product over the shared vertices does not depend on
     which partner i >= 2 defines the edge (the pinned vertices land in the
@@ -120,7 +108,7 @@ def induced_edge_observable(
         product = game.product_over_intersection(fa, q1, qi, partner=partner)
         operator = operator + product * (eye + o * observable) / 2.0
     operator.setflags(write=False)
-    return EdgeObservable(owner, q1, qi, operator)
+    return operator
 
 
 def build_S_T(strategy: QuantumStrategy, i: int) -> ConstrainedPair:
@@ -129,10 +117,10 @@ def build_S_T(strategy: QuantumStrategy, i: int) -> ConstrainedPair:
     m = strategy.m
     if not 2 <= i <= m:
         raise ValueError(f"second player index must be in [2, {m}], got {i}")
-    o001 = induced_edge_observable(strategy, 1, 0, 0).operator
-    o101 = induced_edge_observable(strategy, 1, 1, 0).operator
-    o00i = induced_edge_observable(strategy, i, 0, 0).operator
-    o01i = induced_edge_observable(strategy, i, 0, 1).operator
+    o001 = induced_edge_observable(strategy, 1, 0, 0)
+    o101 = induced_edge_observable(strategy, 1, 1, 0)
+    o00i = induced_edge_observable(strategy, i, 0, 0)
+    o01i = induced_edge_observable(strategy, i, 0, 1)
     pair = ConstrainedPair(
         tensor(o001, (o00i + o01i) / 2.0),
         tensor(o101, (o00i - o01i) / 2.0),
@@ -229,23 +217,18 @@ def verify_lemma3(power: int) -> bool:
 def _edge_stack(strategy: QuantumStrategy, owner: int, bits) -> np.ndarray:
     """The owner's edge observable for each (q1, qi) in ``bits``, as an
     (N, 2, 2) stack."""
-    return np.array([induced_edge_observable(strategy, owner, q1, qi).operator for q1, qi in bits])
+    return np.array([induced_edge_observable(strategy, owner, q1, qi) for q1, qi in bits])
 
 
 def relaxed_win_bounds(strategy: QuantumStrategy, questions) -> np.ndarray:
     """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state for
-    each of N questions, one statevector row per question: the
-    product-consistency upper bound on the winning probability."""
+    each of N questions: the product-consistency upper bound on the winning
+    probability."""
     m = strategy.m
-    questions = [tuple(q) for q in questions]
-    psi = ghz_state(m)
-    acc = np.tile(psi, (len(questions), 1))
-    for i in range(2, m + 1):
-        bits = [(q[0], q[i - 1]) for q in questions]
-        tmp = apply_single_qubit(acc, _edge_stack(strategy, 1, bits), 0)
-        tmp = apply_single_qubit(tmp, _edge_stack(strategy, i, bits), i - 1)
-        acc = (acc + tmp) / 2.0
-    return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
+    rows = quantum._question_rows(m, questions).tolist()
+    bits = [[(q[0], q[i]) for q in rows] for i in range(1, m)]
+    pairs = ((_edge_stack(strategy, 1, b), _edge_stack(strategy, i, b)) for i, b in enumerate(bits, start=2))
+    return quantum.pair_products(m, len(rows), pairs)
 
 
 def relaxed_win_bound(strategy: QuantumStrategy, q) -> float:

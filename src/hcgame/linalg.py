@@ -22,7 +22,6 @@ IMAG_RESIDUE_ATOL = 1e-10
 # <psi| P |psi> for a product P of a few single-qubit Hermitian factors on a
 # statevector: no accumulated matrix products, so a tighter residue bound
 OVERLAP_IMAG_ATOL = 1e-12
-UNIT_NORM_ATOL = 1e-12
 
 
 def as_operator(matrix) -> np.ndarray:
@@ -117,16 +116,6 @@ def _qubits_for_length(n: int) -> int:
     if n != 1 << qubits or n < 2:
         raise ValueError(f"state length {n} is not a power of two")
     return qubits
-
-
-def num_qubits(psi) -> int:
-    return _qubits_for_length(np.asarray(psi).size)
-
-
-def check_unit(psi, atol: float = UNIT_NORM_ATOL) -> None:
-    norm = float(np.linalg.norm(np.asarray(psi)))
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state norm {norm} deviates from 1 beyond {atol}")
 
 
 def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:

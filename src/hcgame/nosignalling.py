@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .game import Answer, Bits, all_questions, answer_from_masks, batch_predicate
-from .game import _facet_indices, _facet_position, _mask_bits
+from .game import _facet_indices, _facet_position, _mask_bits, mask_dtype
 
 NS_MAX_DIMENSION = 4
 
@@ -118,7 +118,7 @@ def _packed(masks: np.ndarray, width: int) -> np.ndarray:
     """One key per row of an (E, k) mask array: the row's masks concatenated,
     column 0 most significant, each field ``width`` bits wide.  Keys of up to
     64 bits are uint64, wider ones Python integers, so none wraps around."""
-    dtype = np.uint64 if width * masks.shape[1] <= 64 else object
+    dtype = mask_dtype(width * masks.shape[1])
     keys = np.zeros(masks.shape[0], dtype=dtype)
     for column in masks.T.astype(dtype, copy=False):
         keys = (keys << np.array(width, dtype=dtype)) | column

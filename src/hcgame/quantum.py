@@ -139,12 +139,12 @@ def outcome_distribution(strategy: QuantumStrategy, q: Bits) -> np.ndarray:
     return outcome_distributions(strategy, [q])[0]
 
 
-def _pinned_mask(m: int, player: int, qb: int, minus):
+def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
     """Facet mask a player's outcome induces, for ``minus`` = 1 where the
-    outcome is -1 and 0 where it is +1 (an int, or an unsigned or object
-    array of them).  Player 1 labels (q1,0,...,0) with o1 and (q1,1,...,1)
-    with (-1)^q1 o1; player i >= 2 labels (0,qi,...,qi) and (1,qi,...,qi)
-    with oi.  Every other vertex gets +1, so the parity rule always holds."""
+    outcome is -1 and 0 where it is +1.  Player 1 labels (q1,0,...,0) with o1
+    and (q1,1,...,1) with (-1)^q1 o1; player i >= 2 labels (0,qi,...,qi) and
+    (1,qi,...,qi) with oi.  Every other vertex gets +1, so the parity rule
+    always holds."""
     low_half = (1 << (m - 1)) - 1
     pos = game._facet_position(m, player, qb)
     if player == 1:
@@ -153,11 +153,12 @@ def _pinned_mask(m: int, player: int, qb: int, minus):
     else:
         tail = low_half if qb else 0
         first, second, flip = pos[tail], pos[(1 << (m - 1)) | tail], 0
-    return minus * (1 << first) | (minus ^ flip) * (1 << second)
+    return minus << first | (minus ^ flip) << second
 
 
-def _answer_for_outcome(m: int, q: Bits, o) -> Answer:
+def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
     """Facet labels induced by measurement outcomes (see :func:`_pinned_mask`)."""
+    m, q, o = strategy.m, tuple(q), tuple(o)
     if len(q) != m or len(o) != m:
         raise ValueError("question and outcome tuple must both have length m")
     if any(v not in (1, -1) for v in o):
@@ -169,23 +170,12 @@ def _answer_for_outcome(m: int, q: Bits, o) -> Answer:
     return Answer(tuple(assignments))
 
 
-def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
-    return _answer_for_outcome(strategy.m, tuple(q), tuple(o))
-
-
 @lru_cache(maxsize=WIN_TABLE_CACHE_SIZE)
 def _win_table(m: int, q: Bits) -> np.ndarray:
-    """Win bit of the answer :func:`_answer_for_outcome` gives each of the
-    2^m outcomes (indexed as in :func:`outcome_distributions`)."""
-    outcomes = np.arange(1 << m, dtype=np.int64)
-    # a 64-vertex facet (m = 7) needs the top bit of uint64; larger facets
-    # need Python-integer masks
-    dtype = np.uint64 if m <= 7 else object
-    masks = np.empty((1 << m, m), dtype=dtype)
-    for player in range(1, m + 1):
-        minus = ((outcomes >> (m - player)) & 1).astype(dtype)
-        masks[:, player - 1] = _pinned_mask(m, player, q[player - 1], minus)
-    table = game.batch_predicate(m, q, masks)
+    """Win bit of the answer :func:`outcome_to_answer` gives each of the 2^m
+    outcomes (indexed as in :func:`outcome_distributions`)."""
+    pinned = [[_pinned_mask(m, player, q[player - 1], minus) for minus in (0, 1)] for player in range(1, m + 1)]
+    table = game.win_table(m, q, pinned).reshape(-1)
     table.setflags(write=False)
     return table
 
@@ -209,22 +199,30 @@ def winning_probability_simulated(strategy: QuantumStrategy, q: Bits) -> float:
     return float(winning_probabilities_simulated(strategy, [q])[0])
 
 
+def pair_products(m: int, n: int, pairs) -> np.ndarray:
+    """<psi| prod_{i>=2} (I + A_i B_i)/2 |psi> on the GHZ state psi for each
+    of n rows, one statevector row each.  ``pairs`` yields (A_i, B_i) for
+    i = 2..m in turn: (n, 2, 2) stacks acting on qubit 1 and on qubit i."""
+    psi = ghz_state(m)
+    acc = np.tile(psi, (n, 1))
+    for i, (first, other) in enumerate(pairs, start=2):
+        tmp = apply_single_qubit(acc, first, 0)
+        tmp = apply_single_qubit(tmp, other, i - 1)
+        acc = (acc + tmp) / 2.0
+    return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
+
+
 def winning_probabilities_operator(strategy: QuantumStrategy, questions) -> np.ndarray:
     """The same probabilities through the product-operator identity
     <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
     m = strategy.m
     _check_simulable(m)
     rows = _question_rows(m, questions)
-    psi = ghz_state(m)
     first = _player_gates(strategy, 1, rows, _z_entries)
-    acc = np.tile(psi, (rows.shape[0], 1))
-    for i in range(2, m + 1):
-        other = _player_gates(strategy, i, rows, _z_entries)
-        sign = np.where(rows[:, 0] & rows[:, i - 1], -1.0, 1.0)[:, None]
-        tmp = apply_single_qubit(acc, first, 0)
-        tmp = apply_single_qubit(tmp, other, i - 1)
-        acc = (acc + sign * tmp) / 2.0
-    return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
+    # the sign goes into player i's gates: negating a gate negates its product exactly
+    signs = np.where(rows[:, :1] & rows, -1.0, 1.0)[:, :, None, None]
+    pairs = ((first, signs[:, i - 1] * _player_gates(strategy, i, rows, _z_entries)) for i in range(2, m + 1))
+    return pair_products(m, rows.shape[0], pairs)
 
 
 def winning_probability_operator(strategy: QuantumStrategy, q: Bits) -> float:

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from hcgame import cli, linalg
 from hcgame.classical import classical_value_formula
-from hcgame.cli import LEMMA3_MAX_POWER, VALUES_MAX_M, build_parser, main, value_row
+from hcgame.cli import (
+    LEMMA3_MAX_POWER,
+    MAX_ALPHA_SAMPLES,
+    MAX_TRIALS,
+    VALUES_MAX_M,
+    build_parser,
+    main,
+    value_row,
+)
 from hcgame.quantum import quantum_value
 
 
@@ -255,6 +263,9 @@ def test_usage_error_exit_codes():
         ["values", "--m", "3", "--m-range", "2:9"],
         ["verify", "lemma2", "--seed", "-1"],
         ["verify", "all", "--quick", "--seed", "-1"],
+        ["verify", "lemma2", "--trials", str(MAX_TRIALS + 1)],
+        ["verify", "quantum", "--alpha-samples", str(MAX_ALPHA_SAMPLES + 1)],
+        ["verify", "converse", "--alpha-samples", str(MAX_ALPHA_SAMPLES + 1)],
     ],
 )
 def test_out_of_range_flags_are_usage_errors(argv, capsys):
@@ -276,14 +287,11 @@ def test_largest_and_smallest_m_are_accepted():
         assert parse(["verify", suite, "--m", str(top)]).m == top
 
 
-def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("HCGAME_JOBS", "2")
-    code, out = run_cli(capsys, "values", "--m-range", "2:3")
-    assert code == 0
-    monkeypatch.setenv("HCGAME_JOBS", "0")
-    with pytest.raises(SystemExit) as err:
-        main(["values", "--m", "2"])
-    assert err.value.code == 2
+def test_largest_work_counts_are_accepted():
+    parse = build_parser().parse_args
+    assert parse(["verify", "lemma2", "--trials", str(MAX_TRIALS)]).trials == MAX_TRIALS
+    for suite in ("quantum", "converse"):
+        assert parse(["verify", suite, "--alpha-samples", str(MAX_ALPHA_SAMPLES)]).alpha_samples == MAX_ALPHA_SAMPLES
 
 
 def test_verify_all_quick_report_matches_reference(capsys):
@@ -390,27 +398,30 @@ PARSE_BOUNDS = {
     },
     ("figure3",): {"--m-max": _at_least(2, VALUES_MAX_M), "--out": _is_str},
     ("verify", "classical"): {"--m": lambda v: v in (2, 3)},
-    ("verify", "quantum"): {"--m": _optional(_at_least(2, 6)), "--alpha-samples": _at_least(1), **TOL},
+    ("verify", "quantum"): {"--m": _optional(_at_least(2, 6)), "--alpha-samples": _at_least(1, MAX_ALPHA_SAMPLES), **TOL},
     ("verify", "nosignalling"): {
         "--m": lambda v: v in (2, 3, 4),
         "--subset-max": _optional(_at_least(1)),
         "--export": _optional(_is_str),
     },
     ("verify", "lemma2"): {
-        "--trials": _at_least(1),
+        "--trials": _at_least(1, MAX_TRIALS),
         "--dim": lambda v: _at_least(2, linalg.MAX_MATRIX_DIM)(v) and v % 2 == 0,
         "--max-power": _at_least(1, linalg.MAX_MATRIX_POWER),
         **TOL,
     },
     ("verify", "lemma3"): {"--m-max": _at_least(1, LEMMA3_MAX_POWER)},
-    ("verify", "converse"): {"--m": _optional(_at_least(2, 5)), "--alpha-samples": _at_least(1), **TOL},
+    ("verify", "converse"): {"--m": _optional(_at_least(2, 5)), "--alpha-samples": _at_least(1, MAX_ALPHA_SAMPLES), **TOL},
     ("verify", "all"): {"--quick": None},
 }
 
 # values near every bound, plus anything at all
 flag_values = st.one_of(
     st.integers(-2, 8).map(str),
-    st.sampled_from(["csv", "json", "2:12", "1:4", "6:3", "2:64", "2:65", "64", "65", "510", "511", "4096", "4098"]),
+    st.sampled_from(
+        ["csv", "json", "2:12", "1:4", "6:3", "2:64", "2:65", "64", "65", "510", "511", "4096", "4097", "4098"]
+        + ["1000000", "1000001"]
+    ),
     st.sampled_from(["1e-9", "0", "-0.0", "-1e-9", "nan", "inf", "small"]),
     st.integers(-(10 ** 6), 10 ** 6).map(str),
     st.floats().map(repr),

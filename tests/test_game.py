@@ -10,9 +10,7 @@ from hcgame.game import (
     Answer,
     FacetAssignment,
     all_answers,
-    answer_from_json,
     answer_from_masks,
-    answer_to_json,
     batch_predicate,
     chsh_bit_embedding,
     consistency_ok,
@@ -24,8 +22,10 @@ from hcgame.game import (
     relaxed_predicate,
     vertex_bits,
     vertex_index,
+    win_table,
 )
-from hcgame.quantum import _answer_for_outcome
+from hcgame.classical import _assignment_masks
+from hcgame.quantum import QuantumStrategy, _pinned_mask, outcome_to_answer
 
 
 def test_vertex_encoding_roundtrip():
@@ -86,7 +86,6 @@ def test_parity_ok():
 def test_values_roundtrip():
     fa = FacetAssignment.from_values(3, 2, 1, (1, -1, 1, -1))
     assert fa.values == (1, -1, 1, -1)
-    assert list(fa.values_array) == [1, -1, 1, -1]
     assert fa.value_at((0, 1, 0)) == 1
 
 
@@ -253,14 +252,6 @@ def test_all_answers_counts_and_cap():
         next(all_answers(4, (0, 0, 0, 0)))
 
 
-def test_answer_json_roundtrip():
-    a = chsh_bit_embedding(1, 0, (1, 0))
-    data = answer_to_json(a)
-    assert data["q"] == [1, 0]
-    assert all(v in (1, -1) for row in data["assignments"] for v in row)
-    assert answer_from_json(data) == a
-
-
 def test_answer_validation():
     with pytest.raises(ValueError):
         Answer(
@@ -324,7 +315,7 @@ def test_batch_predicate_random_and_pinned_m4_to_m6():
         for q in itertools.product((0, 1), repeat=m):
             random_rows = [tuple(int(v) for v in rng.integers(0, 1 << size, m)) for _ in range(20)]
             pinned_rows = [
-                tuple(fa.mask for fa in _answer_for_outcome(m, q, o).assignments)
+                tuple(fa.mask for fa in outcome_to_answer(QuantumStrategy(m, 0.0), q, o).assignments)
                 for o in itertools.product((1, -1), repeat=m)
             ]
             global_rows = _global_rows(m, q, rng, 8)
@@ -367,6 +358,26 @@ def test_batch_predicate_rejects_bad_input():
         batch_predicate(2, (0, 1, 0), np.zeros((1, 2), dtype=np.int64))
     with pytest.raises(ValueError):
         batch_predicate(2, (0, 2), np.zeros((1, 2), dtype=np.int64))
+
+
+def test_win_table_is_batch_predicate_over_the_candidate_product():
+    cases = [(3, (1, 0, 1), [[0, 1, 2, 8], [0, 3], [5]])]
+    for m, restrict in ((2, False), (2, True), (3, True)):
+        for q in itertools.product((0, 1), repeat=m):
+            cases.append((m, q, [_assignment_masks(m, i + 1, q[i], restrict) for i in range(m)]))
+    # 128-vertex facets: the masks only fit Python integers
+    for q in ((0,) * 8, (1, 0, 1, 1, 0, 0, 1, 0)):
+        cases.append((8, q, [[_pinned_mask(8, i + 1, q[i], minus) for minus in (0, 1)] for i in range(8)]))
+    wins = 0
+    for m, q, candidates in cases:
+        table = win_table(m, q, candidates)
+        rows = np.array(list(itertools.product(*candidates)), dtype=object)
+        assert table.shape == tuple(len(c) for c in candidates)
+        assert np.array_equal(table.reshape(-1), batch_predicate(m, q, rows))
+        wins += int(table.sum())
+    assert wins > 0
+    with pytest.raises(ValueError):
+        win_table(3, (0, 0, 0), [[0], [0]])
 
 
 def test_scalar_rule_is_one_row_of_the_batch():

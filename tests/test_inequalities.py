@@ -42,10 +42,10 @@ def test_edge_observable_is_signed_rotation():
         for qi in (0, 1):
             edge = induced_edge_observable(s, 1, q1, qi)
             sign = -1.0 if q1 and qi else 1.0
-            assert np.allclose(edge.operator, sign * s.observable(1, q1), atol=1e-12)
+            assert np.allclose(edge, sign * s.observable(1, q1), atol=1e-12)
             for owner in (2, 3):
                 edge = induced_edge_observable(s, owner, q1, qi)
-                assert np.allclose(edge.operator, s.observable(owner, qi), atol=1e-12)
+                assert np.allclose(edge, s.observable(owner, qi), atol=1e-12)
 
 
 def test_edge_observables_are_reflections():
@@ -53,7 +53,7 @@ def test_edge_observables_are_reflections():
     for owner in (1, 2, 3, 4):
         for q1 in (0, 1):
             for qi in (0, 1):
-                assert is_reflection(induced_edge_observable(s, owner, q1, qi).operator)
+                assert is_reflection(induced_edge_observable(s, owner, q1, qi))
 
 
 def test_edge_observable_parity_identities():
@@ -61,13 +61,13 @@ def test_edge_observable_parity_identities():
         s = QuantumStrategy(m, 0.35)
         for q1 in (0, 1):
             for qi in (0, 1):
-                left = induced_edge_observable(s, 1, q1, qi).operator
-                right = induced_edge_observable(s, 1, q1, 1 - qi).operator
+                left = induced_edge_observable(s, 1, q1, qi)
+                right = induced_edge_observable(s, 1, q1, 1 - qi)
                 sign = -1.0 if q1 else 1.0
                 assert np.max(np.abs(left - sign * right)) <= 1e-10
                 for i in range(2, m + 1):
-                    a = induced_edge_observable(s, i, q1, qi).operator
-                    b = induced_edge_observable(s, i, 1 - q1, qi).operator
+                    a = induced_edge_observable(s, i, q1, qi)
+                    b = induced_edge_observable(s, i, 1 - q1, qi)
                     assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -87,13 +87,13 @@ def test_edge_observable_memo_is_read_only_and_matches_fresh():
             for qi in (0, 1):
                 cached = induced_edge_observable(s, owner, q1, qi)
                 assert induced_edge_observable(s, owner, q1, qi) is cached
-                assert not cached.operator.flags.writeable
+                assert not cached.flags.writeable
                 with pytest.raises(ValueError):
-                    cached.operator[0, 0] = 0.0
+                    cached[0, 0] = 0.0
                 fresh = induced_edge_observable.__wrapped__(s, owner, q1, qi)
-                assert np.array_equal(cached.operator, fresh.operator)
+                assert np.array_equal(cached, fresh)
     other = induced_edge_observable(QuantumStrategy(3, 0.7), 2, 0, 0)
-    assert not np.allclose(other.operator, induced_edge_observable(s, 2, 0, 0).operator)
+    assert not np.allclose(other, induced_edge_observable(s, 2, 0, 0))
 
 
 def test_build_S_T_constraint_and_chsh_value():
@@ -387,7 +387,7 @@ def test_converse_chain_negative_control(monkeypatch):
     def perturbed(strategy, owner, q1, qi):
         edge = real(strategy, owner, q1, qi)
         if owner == 1 and q1 == 0 and qi == 1:
-            return ineq.EdgeObservable(owner, q1, qi, edge.operator + 1e-6 * np.eye(2))
+            return edge + 1e-6 * np.eye(2)
         return edge
 
     monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
@@ -402,11 +402,11 @@ def _converse_chain_one_question(strategy, q, tol):
     for i in range(2, strategy.m + 1):
         q1, qi = q[0], q[i - 1]
         sign = -1.0 if q1 else 1.0
-        first = induced_edge_observable(strategy, 1, q1, qi).operator
-        if np.max(np.abs(first - sign * induced_edge_observable(strategy, 1, q1, 1 - qi).operator)) > tol:
+        first = induced_edge_observable(strategy, 1, q1, qi)
+        if np.max(np.abs(first - sign * induced_edge_observable(strategy, 1, q1, 1 - qi))) > tol:
             return False
-        other = induced_edge_observable(strategy, i, q1, qi).operator
-        if np.max(np.abs(other - induced_edge_observable(strategy, i, 1 - q1, qi).operator)) > tol:
+        other = induced_edge_observable(strategy, i, q1, qi)
+        if np.max(np.abs(other - induced_edge_observable(strategy, i, 1 - q1, qi))) > tol:
             return False
         if build_S_T(strategy, i).constraint_residual() > tol:
             return False
@@ -436,8 +436,8 @@ def _relaxed_win_bound_one_state(strategy, q):
     psi = ghz_state(strategy.m)
     acc = psi
     for i in range(2, strategy.m + 1):
-        e1 = induced_edge_observable(strategy, 1, q[0], q[i - 1]).operator
-        ei = induced_edge_observable(strategy, i, q[0], q[i - 1]).operator
+        e1 = induced_edge_observable(strategy, 1, q[0], q[i - 1])
+        ei = induced_edge_observable(strategy, i, q[0], q[i - 1])
         acc = (acc + apply_single_qubit(apply_single_qubit(acc, e1, 0), ei, i - 1)) / 2.0
     return float(np.vdot(psi, acc).real)
 
@@ -452,8 +452,10 @@ def test_relaxed_win_bounds_match_one_row_calls():
             for bound, q in zip(bounds, questions):
                 assert abs(bound - relaxed_win_bound(s, q)) <= 1e-15
                 assert abs(bound - _relaxed_win_bound_one_state(s, q)) <= 1e-15
-    with pytest.raises(ValueError):
-        relaxed_win_bounds(QuantumStrategy(3, 0.3), [])
+    # no question, or one that is too short, too long or not binary
+    for questions in ([], [(0, 1)], [(0, 1, 1, 1)], [(0, 1, 2)]):
+        with pytest.raises(ValueError):
+            relaxed_win_bounds(QuantumStrategy(3, 0.1), questions)
 
 
 def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
@@ -462,8 +464,7 @@ def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
 
     def twisted(strategy, owner, q1, qi):
         # complex symmetric, not Hermitian
-        op = real(strategy, owner, q1, qi).operator
-        return ineq.EdgeObservable(owner, q1, qi, op + 0.1j * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        return real(strategy, owner, q1, qi) + 0.1j * np.array([[0.0, 1.0], [1.0, 0.0]])
 
     monkeypatch.setattr(ineq, "induced_edge_observable", twisted)
     with pytest.raises(ValueError, match="imaginary residue"):

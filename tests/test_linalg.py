@@ -5,12 +5,10 @@ import pytest
 
 from hcgame.linalg import (
     apply_single_qubit,
-    check_unit,
     expectation,
     is_hermitian,
     is_reflection,
     matpow,
-    num_qubits,
     tensor,
 )
 from hcgame.quantum import ghz_state, z_theta
@@ -120,15 +118,6 @@ def test_is_hermitian():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_num_qubits_and_norm():
-    assert num_qubits(np.zeros(8)) == 3
-    with pytest.raises(ValueError):
-        num_qubits(np.zeros(6))
-    check_unit(ghz_state(3))
-    with pytest.raises(ValueError):
-        check_unit(np.array([1.0, 1.0]))
-
-
 def test_apply_single_qubit_matches_dense():
     rng = np.random.default_rng(5)
     # a reflection, a non-unitary projector and a generic complex matrix
@@ -148,6 +137,8 @@ def test_apply_single_qubit_matches_dense():
             apply_single_qubit(psi, gates[0], n)
     with pytest.raises(ValueError):
         apply_single_qubit(psi, np.eye(3), 0)
+    with pytest.raises(ValueError, match="not a power of two"):
+        apply_single_qubit(np.zeros(6), gates[0], 0)
 
 
 def test_apply_single_qubit_on_a_stack_equals_row_by_row():

@@ -6,12 +6,11 @@ import pytest
 
 from hcgame import game, quantum
 from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
-from hcgame.linalg import is_reflection
+from hcgame.linalg import apply_single_qubit, is_reflection
 from hcgame.cli import verify_quantum
 from hcgame.quantum import (
     GHZ_MAX_QUBITS,
     QuantumStrategy,
-    _answer_for_outcome,
     _win_table,
     average_win_analytic,
     ghz_state,
@@ -149,9 +148,9 @@ def test_answer_masks_match_pinned_values():
     for m in (2, 3, 4, 5):
         for q in all_questions(m):
             for o in _outcomes(m):
-                assert _answer_for_outcome(m, q, o) == _pinned_values_answer(m, q, o)
+                assert outcome_to_answer(QuantumStrategy(m, 0.0), q, o) == _pinned_values_answer(m, q, o)
     with pytest.raises(ValueError):
-        _answer_for_outcome(2, (0, 0), (1, 0))
+        outcome_to_answer(QuantumStrategy(2, 0.0), (0, 0), (1, 0))
 
 
 def test_outcome_to_answer_m2_example():
@@ -310,7 +309,7 @@ def test_win_table_matches_predicate_of_each_outcome():
     for m, q in cases:
         table = _win_table(m, q)
         assert not table.flags.writeable
-        expected = [predicate(_answer_for_outcome(m, q, o), q) for o in _outcomes(m)]
+        expected = [predicate(outcome_to_answer(QuantumStrategy(m, 0.0), q, o), q) for o in _outcomes(m)]
         assert table.tolist() == expected
 
 
@@ -340,6 +339,31 @@ def test_batched_simulation_equals_one_row_calls():
                 assert np.array_equal(dists[k], outcome_distribution(s, q))
                 assert sims[k] == winning_probability_simulated(s, q)
                 assert ops[k] == winning_probability_operator(s, q)
+
+
+def _operator_loop_with_signs(strategy, questions):
+    # the identity with (-1)^(q1*qi) applied to each product term, not folded
+    # into player i's gates
+    m = strategy.m
+    rows = np.array(questions, dtype=np.int64)
+    psi = ghz_state(m)
+    first = quantum._player_gates(strategy, 1, rows, quantum._z_entries)
+    acc = np.tile(psi, (rows.shape[0], 1))
+    for i in range(2, m + 1):
+        other = quantum._player_gates(strategy, i, rows, quantum._z_entries)
+        sign = np.where(rows[:, 0] & rows[:, i - 1], -1.0, 1.0)[:, None]
+        tmp = apply_single_qubit(apply_single_qubit(acc, first, 0), other, i - 1)
+        acc = (acc + sign * tmp) / 2.0
+    return np.array([np.vdot(psi, row) for row in acc]).real
+
+
+def test_operator_identity_equals_the_signed_loop_exactly():
+    for m in range(2, 7):
+        questions = list(all_questions(m))
+        for alpha in (0.0, 0.37, math.pi / 4, 1.2, math.pi / 2):
+            s = QuantumStrategy(m, alpha)
+            ops = winning_probabilities_operator(s, questions)
+            assert ops.tolist() == _operator_loop_with_signs(s, questions).tolist()
 
 
 def test_batched_simulation_agrees_with_outcome_probability():
