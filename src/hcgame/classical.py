@@ -62,10 +62,8 @@ def canonical_strategy(m: int) -> DeterministicStrategy:
     return DeterministicStrategy(m, tuple(choices))
 
 
-def strategy_value(strategy: DeterministicStrategy, m: int | None = None) -> Fraction:
+def strategy_value(strategy: DeterministicStrategy) -> Fraction:
     """Exact winning probability: winning questions / 2^m."""
-    if m is not None and m != strategy.m:
-        raise ValueError(f"strategy is for m={strategy.m}, not m={m}")
     m = strategy.m
     wins = sum(predicate(strategy.answer(q), q) for q in all_questions(m))
     return Fraction(wins, 1 << m)
@@ -77,12 +75,14 @@ def classical_value_formula(m: int) -> Fraction:
     return Fraction(1, 2) + Fraction(1, 2 ** m)
 
 
-def _assignment_masks(m: int, player: int, question_bit: int, restrict_parity: bool) -> list[int]:
-    size = 1 << (m - 1)
-    if not restrict_parity:
-        return list(range(1 << size))
-    required = required_parity(player, question_bit)
-    return [mask for mask in range(1 << size) if mask.bit_count() & 1 == required]
+def _candidate_masks(m: int, restrict_parity: bool) -> list[list[list[int]]]:
+    """Per player, the facet masks a strategy may give on question bit 0 and
+    on bit 1: every mask, or with ``restrict_parity`` those of the required parity."""
+    masks = range(1 << (1 << (m - 1)))
+    return [
+        [[k for k in masks if not restrict_parity or k.bit_count() & 1 == required_parity(player, bit)] for bit in (0, 1)]
+        for player in range(1, m + 1)
+    ]
 
 
 def _win_totals(m: int, restrict_parity: bool) -> tuple[list, np.ndarray]:
@@ -94,10 +94,7 @@ def _win_totals(m: int, restrict_parity: bool) -> tuple[list, np.ndarray]:
     question uses and is broadcast over the full grid, so no strategy tuple
     is materialised.
     """
-    candidates = [
-        [_assignment_masks(m, player, bit, restrict_parity) for bit in (0, 1)]
-        for player in range(1, m + 1)
-    ]
+    candidates = _candidate_masks(m, restrict_parity)
     shape = tuple(len(candidates[p][b]) for p in range(m) for b in (0, 1))
     totals = np.zeros(shape, dtype=np.int32)
     for q in all_questions(m):
@@ -138,10 +135,7 @@ def enumerate_strategies(m: int, restrict_parity: bool = False):
     """Yield every deterministic strategy; practical for m = 2 only."""
     if m != 2:
         raise ValueError("full strategy enumeration is exposed for m = 2 only")
-    candidates = [
-        [_assignment_masks(m, player, bit, restrict_parity) for bit in (0, 1)]
-        for player in range(1, m + 1)
-    ]
+    candidates = _candidate_masks(m, restrict_parity)
     pools = [
         [
             (FacetAssignment(m, p + 1, 0, m0), FacetAssignment(m, p + 1, 1, m1))

@@ -334,79 +334,69 @@ def _m_values(m: int | None, m_top: int) -> list[int]:
     return [m] if m is not None else list(range(2, m_top + 1))
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_int_range(0), default=DEFAULT_SEED, help="base seed echoed in reports")
-    parser.add_argument("--jobs", type=_int_range(1), default=1, help="accepted for compatibility; all work runs serially")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Each command sets ``run(args)`` and each verify suite ``report(args)``;
     a lambda looks its ``verify_*`` function up when the suite runs."""
     parser = argparse.ArgumentParser(prog="hcgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command and every verify suite takes these
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=_int_range(0), default=DEFAULT_SEED, help="base seed echoed in reports")
+    common.add_argument("--jobs", type=_int_range(1), default=1, help="accepted for compatibility; all work runs serially")
 
-    values = sub.add_parser("values", help="per-m value table")
+    values = sub.add_parser("values", help="per-m value table", parents=[common])
     which_m = values.add_mutually_exclusive_group()
     which_m.add_argument("--m", type=_int_range(2, VALUES_MAX_M), default=None)
     which_m.add_argument("--m-range", type=_m_range, default="2:12")
     values.add_argument("--format", choices=("csv", "json"), default="csv")
     values.add_argument("--out", type=str, default=None)
     values.set_defaults(run=cmd_values)
-    _add_common(values)
 
-    figure = sub.add_parser("figure3", help="CSV of classical/quantum/no-signalling values")
+    figure = sub.add_parser("figure3", help="CSV of classical/quantum/no-signalling values", parents=[common])
     figure.add_argument("--m-max", type=_int_range(2, VALUES_MAX_M), default=12)
     figure.add_argument("--out", type=str, required=True)
     figure.set_defaults(run=cmd_figure3)
-    _add_common(figure)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.set_defaults(run=cmd_verify)
     suites = verify.add_subparsers(dest="suite", required=True)
 
-    v_classical = suites.add_parser("classical")
+    v_classical = suites.add_parser("classical", parents=[common])
     v_classical.add_argument("--m", type=int, choices=(2, 3), default=2)
     v_classical.set_defaults(report=lambda a: verify_classical(a.m, a.seed))
-    _add_common(v_classical)
 
-    v_quantum = suites.add_parser("quantum")
+    v_quantum = suites.add_parser("quantum", parents=[common])
     v_quantum.add_argument("--m", type=_int_range(2, 6), default=None, help="single m; default sweeps 2..6")
     v_quantum.add_argument("--alpha-samples", type=_int_range(1, MAX_ALPHA_SAMPLES), default=32)
     v_quantum.add_argument("--tol", type=_tolerance, default=1e-9)
     v_quantum.set_defaults(report=lambda a: verify_quantum(_m_values(a.m, 6), a.alpha_samples, a.tol, a.seed))
-    _add_common(v_quantum)
 
-    v_ns = suites.add_parser("nosignalling")
+    v_ns = suites.add_parser("nosignalling", parents=[common])
     v_ns.add_argument("--m", type=int, choices=(2, 3, 4), default=2)
     v_ns.add_argument("--subset-max", type=_int_range(1), default=None, help="at most --m")
     v_ns.add_argument("--export", type=str, default=None, help="write the support as JSON lines")
     v_ns.set_defaults(report=lambda a: verify_nosignalling(a.m, a.subset_max, a.seed, a.export))
-    _add_common(v_ns)
 
-    v_l2 = suites.add_parser("lemma2")
+    v_l2 = suites.add_parser("lemma2", parents=[common])
     v_l2.add_argument("--trials", type=_int_range(1, MAX_TRIALS), default=1000)
     v_l2.add_argument("--dim", type=_even_int_range(2, linalg.MAX_MATRIX_DIM), default=8)
     v_l2.add_argument("--max-power", type=_int_range(1, linalg.MAX_MATRIX_POWER), default=6)
     v_l2.add_argument("--tol", type=_tolerance, default=1e-9)
     v_l2.set_defaults(report=lambda a: verify_lemma2(a.trials, a.dim, a.max_power, a.seed, a.tol))
-    _add_common(v_l2)
 
-    v_l3 = suites.add_parser("lemma3")
+    v_l3 = suites.add_parser("lemma3", parents=[common])
     v_l3.add_argument("--m-max", type=_int_range(1, LEMMA3_MAX_POWER), default=64)
     v_l3.set_defaults(report=lambda a: verify_lemma3(a.m_max, a.seed))
-    _add_common(v_l3)
 
-    v_conv = suites.add_parser("converse")
+    v_conv = suites.add_parser("converse", parents=[common])
     v_conv.add_argument("--m", type=_int_range(2, 5), default=None, help="single m; default sweeps 2..5")
     v_conv.add_argument("--alpha-samples", type=_int_range(1, MAX_ALPHA_SAMPLES), default=16)
     v_conv.add_argument("--tol", type=_tolerance, default=1e-10)
     v_conv.set_defaults(report=lambda a: verify_converse(_m_values(a.m, 5), a.alpha_samples, a.tol, a.seed))
-    _add_common(v_conv)
 
-    v_all = suites.add_parser("all")
+    v_all = suites.add_parser("all", parents=[common])
     v_all.add_argument("--quick", action="store_true")
     v_all.set_defaults(report=lambda a: verify_all(a.quick, a.seed))
-    _add_common(v_all)
 
     return parser
 

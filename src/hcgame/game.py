@@ -73,20 +73,21 @@ def _facet_position(m: int, i: int, q: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _intersection_indices(m: int, q1: int, i: int, q_i: int) -> tuple[int, ...]:
+def intersection_mask(m: int, player: int, question_bit: int, q1: int, i: int, q_i: int) -> int:
+    """Bit k set iff vertex k of the player's facet {x_player = question_bit}
+    (facet order) lies on both player 1's facet {x_1 = q1} and player i's
+    facet {x_i = q_i}: the slots an intersection product multiplies."""
     validate_dimension(m)
-    _validate_bit(q1)
-    _validate_bit(q_i)
+    for b in (question_bit, q1, q_i):
+        _validate_bit(b)
     if i < 2:
         raise ValueError(f"intersection partner must be a player index >= 2, got {i}")
     _validate_player(m, i)
-    top = m - 1
-    shift = m - i
-    return tuple(
-        e
-        for e in range(1 << m)
-        if (e >> top) & 1 == q1 and (e >> shift) & 1 == q_i
-    )
+    _validate_player(m, player)
+    cube = np.zeros((2,) * m, dtype=bool)
+    cube[(q1,) + (slice(None),) * (i - 2) + (q_i,)] = True
+    facet = cube.take(question_bit, axis=player - 1)
+    return int.from_bytes(np.packbits(facet, bitorder="little").tobytes(), "little")
 
 
 def facet_vertices(m: int, i: int, q_i: int) -> list[Bits]:
@@ -96,7 +97,8 @@ def facet_vertices(m: int, i: int, q_i: int) -> list[Bits]:
 
 def intersection_vertices(m: int, q1: int, i: int, q_i: int) -> list[Bits]:
     """The 2^(m-2) vertices shared by player 1's and player i's facets."""
-    return [vertex_bits(e, m) for e in _intersection_indices(m, q1, i, q_i)]
+    mask = intersection_mask(m, 1, q1, q1, i, q_i)
+    return [v for k, v in enumerate(facet_vertices(m, 1, q1)) if mask >> k & 1]
 
 
 @dataclass(frozen=True)
@@ -332,11 +334,8 @@ def product_over_intersection(
             raise ValueError("partner does not match the assignment's player")
         if assignment.question_bit != q_i:
             raise ValueError("facet is disjoint from the requested intersection")
-    pos = _facet_position(m, assignment.player, assignment.question_bit)
-    sign = 1
-    for e in _intersection_indices(m, q1, i, q_i):
-        sign *= 1 - 2 * ((assignment.mask >> pos[e]) & 1)
-    return sign
+    shared = intersection_mask(m, assignment.player, assignment.question_bit, q1, i, q_i)
+    return -1 if (assignment.mask & shared).bit_count() & 1 else 1
 
 
 def relaxed_predicate(answer: Answer, q: Bits) -> int:

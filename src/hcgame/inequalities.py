@@ -65,13 +65,13 @@ class ConstrainedPair:
     def constraint_residual(self) -> float:
         return self._residual
 
-    def validate(self, atol: float = CONSTRAINT_ATOL) -> None:
+    def validate(self) -> None:
         for name, op in (("S", self.s), ("T", self.t)):
-            if np.max(np.abs(op - op.conj().T)) > atol:
-                raise ValueError(f"{name} is not Hermitian within {atol}")
+            if np.max(np.abs(op - op.conj().T)) > CONSTRAINT_ATOL:
+                raise ValueError(f"{name} is not Hermitian within {CONSTRAINT_ATOL}")
         residual = self.constraint_residual()
-        if residual > atol:
-            raise ValueError(f"constraint residual {residual:.3e} exceeds {atol}")
+        if residual > CONSTRAINT_ATOL:
+            raise ValueError(f"constraint residual {residual:.3e} exceeds {CONSTRAINT_ATOL}")
 
 
 @lru_cache(maxsize=EDGE_CACHE_SIZE)
@@ -94,18 +94,16 @@ def induced_edge_observable(
     if owner == 1:
         own_bit, partner = q1, 2
     elif 2 <= owner <= m:
-        own_bit, partner = qi, None
+        own_bit, partner = qi, owner
     else:
         raise ValueError(f"owner must be a player index in [1, {m}], got {owner}")
     observable = strategy.observable(owner, own_bit)
+    shared = game.intersection_mask(m, owner, own_bit, q1, partner, qi)
     eye = np.eye(2, dtype=complex)
-    full_q = (q1,) + (qi,) * (m - 1)
     operator = np.zeros((2, 2), dtype=complex)
-    for o in (1, -1):
-        outcome = tuple(o if player == owner else 1 for player in range(1, m + 1))
-        answer = quantum.outcome_to_answer(strategy, full_q, outcome)
-        fa = answer.assignments[owner - 1]
-        product = game.product_over_intersection(fa, q1, qi, partner=partner)
+    for o, minus in ((1, 0), (-1, 1)):
+        # the sign of the outcome's pinned labels on the shared slots
+        product = -1 if (quantum._pinned_mask(m, owner, own_bit, minus) & shared).bit_count() & 1 else 1
         operator = operator + product * (eye + o * observable) / 2.0
     operator.setflags(write=False)
     return operator
@@ -125,7 +123,7 @@ def build_S_T(strategy: QuantumStrategy, i: int) -> ConstrainedPair:
         tensor(o001, (o00i + o01i) / 2.0),
         tensor(o101, (o00i - o01i) / 2.0),
     )
-    pair.validate(CONSTRAINT_ATOL)
+    pair.validate()
     return pair
 
 
@@ -189,10 +187,16 @@ def chsh_style_pair(a0, a1, b0, b1) -> ConstrainedPair:
 
 
 def lemma2_lhs(pair: ConstrainedPair, psi, power: int) -> float:
-    """<(I+S)^M + (I+T)^M> on the given state."""
+    """<(I+S)^M + (I+T)^M> on the given state.
+
+    The operator's norm grows like 2^M, so its Hermitian and imaginary-residue
+    checks run on the operator scaled by 2^-M; a power of two scales exactly,
+    so the value is the same as without scaling.
+    """
     eye = np.eye(pair.dim, dtype=complex)
-    op = matpow(eye + pair.s, power) + matpow(eye + pair.t, power)
-    return expectation(op, psi)
+    scale = 2.0 ** power
+    op = (matpow(eye + pair.s, power) + matpow(eye + pair.t, power)) / scale
+    return expectation(op, psi) * scale
 
 
 def verify_lemma2(pair: ConstrainedPair, psi, power: int, tol: float = 1e-9) -> bool:
@@ -344,8 +348,10 @@ def _lemma2_lhs_trials(ids, dim_half: int, power: int, seed: int) -> np.ndarray:
     residual = np.abs(s @ s + t @ t - np.eye(dim)).max(axis=(1, 2))
     _check_trials(ids, residual, CONSTRAINT_ATOL, "constraint residual")
     eye = np.eye(dim, dtype=complex)
-    ops = matpow(eye + s, power) + matpow(eye + t, power)
+    # checked at the scale of lemma2_lhs
+    scale = 2.0 ** power
+    ops = (matpow(eye + s, power) + matpow(eye + t, power)) / scale
     _check_trials(ids, _hermitian_excess(ops), OPERATOR_ATOL, "operator deviates from Hermitian by")
     values = np.array([np.vdot(psi, op @ psi) for psi, op in zip(psis, ops)])
     _check_trials(ids, np.abs(values.imag), IMAG_RESIDUE_ATOL, "imaginary residue")
-    return values.real
+    return values.real * scale

@@ -59,11 +59,11 @@ def real_part(values, atol: float = IMAG_RESIDUE_ATOL):
     return values.real
 
 
-def expectation(matrix, psi, imag_atol: float = IMAG_RESIDUE_ATOL) -> float:
+def expectation(matrix, psi) -> float:
     """<psi| M |psi> for Hermitian M, returned as a real number.
 
-    Raises if M is not Hermitian or if the imaginary residue exceeds the
-    tolerance; the residue is then discarded.
+    Raises if M is not Hermitian or if the imaginary residue exceeds
+    IMAG_RESIDUE_ATOL; the residue is then discarded.
     """
     arr = as_operator(matrix)
     vec = np.asarray(psi, dtype=complex).reshape(-1)
@@ -72,7 +72,7 @@ def expectation(matrix, psi, imag_atol: float = IMAG_RESIDUE_ATOL) -> float:
     # accumulated float error from matrix products can reach well past 1e-12
     if not is_hermitian(arr, OPERATOR_ATOL):
         raise ValueError("expectation requires a Hermitian operator")
-    return float(real_part(np.vdot(vec, arr @ vec), imag_atol))
+    return float(real_part(np.vdot(vec, arr @ vec)))
 
 
 def matpow(matrix, k: int) -> np.ndarray:
@@ -100,13 +100,13 @@ def matpow(matrix, k: int) -> np.ndarray:
     return result
 
 
-def is_reflection(matrix, atol: float = REFLECTION_ATOL) -> bool:
+def is_reflection(matrix) -> bool:
     """Hermitian with spectrum in {+1, -1}, i.e. M^2 = I within tolerance."""
     arr = as_operator(matrix)
-    if not is_hermitian(arr, atol):
+    if not is_hermitian(arr, REFLECTION_ATOL):
         return False
     eye = np.eye(arr.shape[0])
-    return bool(np.max(np.abs(arr @ arr - eye)) <= atol)
+    return bool(np.max(np.abs(arr @ arr - eye)) <= REFLECTION_ATOL)
 
 
 def _qubits_for_length(n: int) -> int:

@@ -180,15 +180,9 @@ def _win_table(m: int, q: Bits) -> np.ndarray:
     return table
 
 
-def _check_simulable(m: int) -> None:
-    if m > GHZ_MAX_QUBITS:
-        raise ValueError(f"simulation supports m <= {GHZ_MAX_QUBITS}")
-
-
 def winning_probabilities_simulated(strategy: QuantumStrategy, questions) -> np.ndarray:
     """Per question, the sum over outcome tuples of outcome probability times
     the game predicate."""
-    _check_simulable(strategy.m)
     questions = [tuple(q) for q in questions]
     dists = outcome_distributions(strategy, questions)
     return np.array([float(dist @ _win_table(strategy.m, q)) for dist, q in zip(dists, questions)])
@@ -216,7 +210,6 @@ def winning_probabilities_operator(strategy: QuantumStrategy, questions) -> np.n
     """The same probabilities through the product-operator identity
     <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
     m = strategy.m
-    _check_simulable(m)
     rows = _question_rows(m, questions)
     first = _player_gates(strategy, 1, rows, _z_entries)
     # the sign goes into player i's gates: negating a gate negates its product exactly
@@ -331,8 +324,7 @@ def quantum_value(m: int) -> float:
     """max_theta [(1+cos t)^(m-1) + (1+sin t)^(m-1)] / 2^m."""
     if m < 2:
         raise ValueError(f"need at least two players, got {m}")
-    theta = maximize_r(m - 1).theta_star
-    return r_function_scaled(theta, m - 1) / 2.0
+    return average_win_analytic(m, maximize_r(m - 1).theta_star)
 
 
 def quantum_value_excess(m: int) -> float:

@@ -57,11 +57,6 @@ def test_all_plus_strategy_loses_parity_questions():
     assert strategy_value(DeterministicStrategy(m, choices)) == Fraction(1, 2)
 
 
-def test_strategy_value_dimension_check():
-    with pytest.raises(ValueError):
-        strategy_value(canonical_strategy(2), m=3)
-
-
 def test_brute_force_m2():
     value, best = brute_force_classical_value(2, restrict_parity=False)
     assert value == Fraction(3, 4)

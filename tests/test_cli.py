@@ -3,11 +3,12 @@ import errno
 import io
 import json
 import math
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcgame import cli, linalg
@@ -294,15 +295,36 @@ def test_largest_work_counts_are_accepted():
         assert parse(["verify", suite, "--alpha-samples", str(MAX_ALPHA_SAMPLES)]).alpha_samples == MAX_ALPHA_SAMPLES
 
 
+def _reference_run(workload):
+    """The argv, exit code and report of a benchmark workload's reference run."""
+    reference_file = Path(__file__).parents[1] / "perfbench" / "reference" / f"{workload}.json"
+    (reference,) = json.loads(reference_file.read_text())
+    return reference["argv"], reference["exit_code"], reference["report"]
+
+
 def test_verify_all_quick_report_matches_reference(capsys):
     # the benchmark's reference report of the same run; floats parsed from
     # JSON compare exactly, so any changed digit, field or check shows up
-    reference_file = Path(__file__).parents[1] / "perfbench" / "reference" / "verify-quick-j2.json"
-    (reference,) = json.loads(reference_file.read_text())
-    assert reference["argv"][:3] == ["verify", "all", "--quick"]
-    code, out = run_cli(capsys, *reference["argv"])
-    assert code == reference["exit_code"] == 1  # criterion 3: the m >= 3 quantum average misses the closed form
-    assert json.loads(out) == reference["report"]
+    argv, exit_code, report = _reference_run("verify-quick-j2")
+    assert argv[:3] == ["verify", "all", "--quick"]
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code == 1  # criterion 3: the m >= 3 quantum average misses the closed form
+    assert json.loads(out) == report
+
+
+def test_verify_all_full_report_matches_reference(capsys):
+    argv, exit_code, report = _reference_run("verify-full")
+    assert argv[:2] == ["verify", "all"] and "--quick" not in argv
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code == 1  # criterion 3, as above
+    assert json.loads(out) == report
+
+
+def test_verify_lemma2_passes_at_the_largest_power(capsys):
+    # (I+S)^64 has norm up to 2^64; its checks must not read that as error
+    code, out = run_cli(capsys, "verify", "lemma2", "--max-power", "64")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_boundary_dim_and_tol_are_accepted(capsys):
@@ -457,3 +479,63 @@ def test_parser_accepts_only_documented_bounds(case):
     for flag, check in {**PARSE_BOUNDS[command], **COMMON_BOUNDS}.items():
         value = getattr(args, flag[2:].replace("-", "_"))
         assert type(value) is bool if check is None else check(value), (argv, flag, value)
+
+
+def _mostly(lo, hi, *outside):
+    """Integers in [lo, hi], now and then one of ``outside`` instead."""
+    return st.one_of(*[st.integers(lo, hi)] * 7, st.sampled_from(outside))
+
+
+# whole runs: each command with flags cheap enough to run in milliseconds;
+# "{tmp}" is a fresh directory per run
+tolerances = st.sampled_from(["0", "1e-9", "0.5", "1e-3", "-1e-9", "nan"])
+# per command: flags always passed (their defaults are slow) and flags that may be
+RUN_FLAGS = {
+    ("values",): ({}, {"--m": _mostly(2, 64, 1, 65), "--format": st.sampled_from(["csv", "json", "tsv"])}),
+    ("figure3",): (
+        {"--out": st.sampled_from(["{tmp}/figure.csv", "{tmp}/figure.csv", "{tmp}/missing/figure.csv"])},
+        {"--m-max": _mostly(2, 64, 1, 65)},
+    ),
+    ("verify", "classical"): ({}, {"--m": _mostly(2, 3, 1, 4)}),
+    ("verify", "quantum"): ({"--m": _mostly(2, 3, 1), "--alpha-samples": _mostly(1, 3, 0)}, {"--tol": tolerances}),
+    ("verify", "nosignalling"): (
+        {"--m": _mostly(2, 3, 1)},
+        {"--subset-max": _mostly(1, 3, 0, 4), "--export": st.just("{tmp}/ns.jsonl")},
+    ),
+    ("verify", "lemma2"): (
+        {"--trials": _mostly(1, 60, 0)},
+        {"--dim": _mostly(1, 4, 0).map(lambda half: 2 * half), "--max-power": _mostly(1, 64, 0, 65), "--tol": tolerances},
+    ),
+    ("verify", "lemma3"): ({}, {"--m-max": _mostly(1, 64, 0)}),
+    ("verify", "converse"): ({"--m": _mostly(2, 3, 1), "--alpha-samples": _mostly(1, 3, 0)}, {"--tol": tolerances}),
+}
+RUN_COMMON = {"--seed": _mostly(0, 2 ** 40, -1), "--jobs": _mostly(1, 3, 0)}
+
+
+@st.composite
+def run_argv(draw):
+    command = draw(st.sampled_from(sorted(RUN_FLAGS)))
+    always, optional = RUN_FLAGS[command]
+    optional = {**optional, **RUN_COMMON}
+    values = {**optional, **always}
+    argv = list(command)
+    for flag in sorted(always) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        argv += [flag, str(draw(values[flag]))]
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@example(["verify", "lemma2", "--trials", "50", "--dim", "2", "--max-power", "49"])
+@given(run_argv())
+def test_whole_runs_keep_the_exit_code_contract(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "usage:" in stderr.getvalue(), argv
+    elif argv[0] == "verify":
+        assert json.loads(stdout.getvalue())["pass"] is (code == 0), argv

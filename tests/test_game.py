@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hcgame.game import (
     vertex_index,
     win_table,
 )
-from hcgame.classical import _assignment_masks
+from hcgame.classical import _candidate_masks
 from hcgame.quantum import QuantumStrategy, _pinned_mask, outcome_to_answer
 
 
@@ -148,6 +149,52 @@ def test_product_over_intersection():
     assert product_over_intersection(fa1, 1, 1, partner=2) == -1
     with pytest.raises(ValueError):
         product_over_intersection(fa1, 0, 1, partner=2)
+
+
+def _per_vertex_product(fa, q1, q_i, partner):
+    """The product as the facet-by-vertex walk: every vertex with x_1 = q1
+    and x_i = q_i, its label looked up on the facet, multiplied in turn."""
+    m, i = fa.m, partner if fa.player == 1 else fa.player
+    sign = 1
+    for e in range(1 << m):
+        if (e >> (m - 1)) & 1 == q1 and (e >> (m - i)) & 1 == q_i:
+            sign *= fa.value_at(vertex_bits(e, m))
+    return sign
+
+
+def _intersection_cases(m, masks):
+    """(assignment, q1, q_i, partner) for every facet that meets an
+    intersection and every mask from masks(player, question bit)."""
+    for player in range(1, m + 1):
+        for bit in (0, 1):
+            for mask in masks(player, bit):
+                fa = FacetAssignment(m, player, bit, mask)
+                if player == 1:
+                    for partner in range(2, m + 1):
+                        for q_i in (0, 1):
+                            yield fa, bit, q_i, partner
+                else:
+                    for q1 in (0, 1):
+                        yield fa, q1, bit, player
+
+
+def test_product_over_intersection_is_the_per_vertex_product():
+    cases = []
+    for m in (2, 3):
+        cases += _intersection_cases(m, lambda player, bit: range(1 << (1 << (m - 1))))
+    rng = random.Random(11)
+    # m = 8, 9: facets past 64 vertices
+    for m in range(4, 10):
+        cases += _intersection_cases(m, lambda player, bit: [rng.getrandbits(1 << (m - 1)) for _ in range(3)])
+    cases += [next(_intersection_cases(16, lambda player, bit: [rng.getrandbits(1 << 15)]))]
+    signs = set()
+    for fa, q1, q_i, partner in cases:
+        product = product_over_intersection(fa, q1, q_i, partner=partner)
+        assert product == _per_vertex_product(fa, q1, q_i, partner), (fa, q1, q_i, partner)
+        signs.add(product)
+        shared = game.intersection_mask(fa.m, fa.player, fa.question_bit, q1, partner, q_i)
+        assert shared.bit_count() == 1 << (fa.m - 2)
+    assert signs == {1, -1}
 
 
 def test_relaxed_predicate_examples():
@@ -364,7 +411,7 @@ def test_win_table_is_batch_predicate_over_the_candidate_product():
     cases = [(3, (1, 0, 1), [[0, 1, 2, 8], [0, 3], [5]])]
     for m, restrict in ((2, False), (2, True), (3, True)):
         for q in itertools.product((0, 1), repeat=m):
-            cases.append((m, q, [_assignment_masks(m, i + 1, q[i], restrict) for i in range(m)]))
+            cases.append((m, q, [_candidate_masks(m, restrict)[i][q[i]] for i in range(m)]))
     # 128-vertex facets: the masks only fit Python integers
     for q in ((0,) * 8, (1, 0, 1, 1, 0, 0, 1, 0)):
         cases.append((8, q, [[_pinned_mask(8, i + 1, q[i], minus) for minus in (0, 1)] for i in range(8)]))

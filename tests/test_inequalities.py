@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hcgame.inequalities as ineq
-from hcgame import quantum
+from hcgame import game, quantum
 from hcgame.game import all_questions
 from hcgame.inequalities import (
     ConstrainedPair,
@@ -69,6 +69,35 @@ def test_edge_observable_parity_identities():
                     a = induced_edge_observable(s, i, q1, qi)
                     b = induced_edge_observable(s, i, 1 - q1, qi)
                     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def _edge_from_answers(strategy, owner, q1, qi):
+    """The edge observable through whole answers: each outcome of the owner
+    (everyone else +1) made into an Answer, and the owner's facet labels
+    multiplied over the intersection by product_over_intersection."""
+    m = strategy.m
+    own_bit, partner = (q1, 2) if owner == 1 else (qi, None)
+    observable = strategy.observable(owner, own_bit)
+    eye = np.eye(2, dtype=complex)
+    full_q = (q1,) + (qi,) * (m - 1)
+    operator = np.zeros((2, 2), dtype=complex)
+    for o in (1, -1):
+        outcome = tuple(o if player == owner else 1 for player in range(1, m + 1))
+        fa = quantum.outcome_to_answer(strategy, full_q, outcome).assignments[owner - 1]
+        product = game.product_over_intersection(fa, q1, qi, partner=partner)
+        operator = operator + product * (eye + o * observable) / 2.0
+    return operator
+
+
+def test_edge_observable_equals_the_answer_derivation_exactly():
+    for m in range(2, 7):
+        for alpha in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+            s = QuantumStrategy(m, alpha)
+            for owner in range(1, m + 1):
+                for q1 in (0, 1):
+                    for qi in (0, 1):
+                        edge = induced_edge_observable.__wrapped__(s, owner, q1, qi)
+                        assert np.array_equal(edge, _edge_from_answers(s, owner, q1, qi)), (m, alpha, owner, q1, qi)
 
 
 def test_edge_observable_owner_validation():
@@ -239,16 +268,29 @@ def test_lemma2_randomized_trials():
 
 
 def test_lemma2_slacks_equal_the_one_trial_path():
-    trials, max_dim_half, max_power, seed = 1000, 4, 6, 42
-    slacks = lemma2_slacks(trials, max_dim_half, max_power, seed)
-    assert slacks.shape == (trials,)
-    for t, slack in enumerate(slacks):
-        dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
-        pair = random_constrained_pair(dim_half, seed + t)
-        psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
-        assert slack == maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
-    report = run_lemma2_trials(trials, max_dim_half, max_power, seed)
-    assert report["worst_slack"] == min(slacks.tolist())
+    # the second case runs up to (I+S)^64, whose checks scale with its 2^64 norm
+    for trials, max_dim_half, max_power, seed in ((1000, 4, 6, 42), (300, 3, 64, 7)):
+        slacks = lemma2_slacks(trials, max_dim_half, max_power, seed)
+        assert slacks.shape == (trials,)
+        for t, slack in enumerate(slacks):
+            dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
+            pair = random_constrained_pair(dim_half, seed + t)
+            psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
+            assert slack == maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
+        report = run_lemma2_trials(trials, max_dim_half, max_power, seed)
+        assert report["worst_slack"] == min(slacks.tolist())
+        assert report["passed"]
+
+
+def test_lemma2_holds_at_the_largest_power():
+    # (I+S)^64 reaches 2^64 in norm: the operator checks must scale with it
+    power = 64
+    r_star = maximize_r(power).r_star
+    for seed in range(40):
+        dim_half = 1 + seed % 4
+        pair = random_constrained_pair(dim_half, seed)
+        psi = random_state(2 * dim_half, np.random.default_rng((seed, 1)))
+        assert lemma2_lhs(pair, psi, power) <= r_star
 
 
 def test_lemma2_sweep_bounds():
