@@ -33,9 +33,39 @@ def as_operator(matrix) -> np.ndarray:
     return arr
 
 
+def _as_operators(matrix) -> np.ndarray:
+    """One square matrix, or a non-empty (K, d, d) stack of them."""
+    arr = np.asarray(matrix, dtype=complex)
+    as_operator(arr[0] if arr.ndim == 3 and arr.shape[0] > 0 else arr)
+    return arr
+
+
+def hermitian_excess(ops) -> np.ndarray:
+    """max |A - A^H| of a matrix, or of each matrix of a (K, d, d) stack."""
+    return np.abs(ops - ops.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+class RowError(ValueError):
+    """A check failed on row ``row`` of a stack; ``detail`` says how."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"row {row}: {detail}")
+        self.row = row
+        self.detail = detail
+
+
+def check_rows(excess, atol: float, what: str) -> None:
+    """Raise ValueError if ``excess`` (a scalar, or one value per row) is
+    above atol; for rows, a :class:`RowError` naming the first bad row."""
+    over = np.asarray(excess) > atol
+    if over.any():
+        row = int(np.argmax(over))
+        detail = f"{what} {np.ravel(excess)[row]:.3e}, above {atol}"
+        raise RowError(row, detail) if over.ndim else ValueError(detail)
+
+
 def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:
-    arr = as_operator(matrix)
-    return bool(np.max(np.abs(arr - arr.conj().T)) <= atol)
+    return bool(hermitian_excess(as_operator(matrix)) <= atol)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -53,26 +83,28 @@ def real_part(values, atol: float = IMAG_RESIDUE_ATOL):
     """The real part of complex expectation values (a scalar or an array),
     raising ValueError if any imaginary residue exceeds the tolerance."""
     values = np.asarray(values)
-    residue = np.abs(values.imag)
-    if np.any(residue > atol):
-        raise ValueError(f"imaginary residue {residue.max():.3e} above tolerance {atol}")
+    check_rows(np.abs(values.imag), atol, "imaginary residue")
     return values.real
 
 
-def expectation(matrix, psi) -> float:
-    """<psi| M |psi> for Hermitian M, returned as a real number.
-
-    Raises if M is not Hermitian or if the imaginary residue exceeds
-    IMAG_RESIDUE_ATOL; the residue is then discarded.
+def expectation(matrix, psi):
+    """<psi| M |psi> for Hermitian M, returned as a real number; for a
+    (K, d, d) stack and a (K, d) stack of states, one value per row, each
+    computed as for one matrix.  Raises if an operator is not Hermitian or
+    an imaginary residue exceeds IMAG_RESIDUE_ATOL; the residue is then
+    discarded.
     """
-    arr = as_operator(matrix)
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    if arr.shape[0] != vec.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {arr.shape[0]}, state {vec.shape[0]}")
+    ops = _as_operators(matrix)
+    vec = np.asarray(psi, dtype=complex)
+    if ops.ndim == 2:
+        vec = vec.reshape(-1)
+    if vec.shape != ops.shape[:-1]:
+        raise ValueError(f"dimension mismatch: operator shape {ops.shape}, state shape {vec.shape}")
     # accumulated float error from matrix products can reach well past 1e-12
-    if not is_hermitian(arr, OPERATOR_ATOL):
-        raise ValueError("expectation requires a Hermitian operator")
-    return float(real_part(np.vdot(vec, arr @ vec)))
+    check_rows(hermitian_excess(ops), OPERATOR_ATOL, "operator deviates from Hermitian by")
+    if ops.ndim == 2:
+        return float(real_part(np.vdot(vec, ops @ vec)))
+    return real_part(np.array([np.vdot(v, op @ v) for v, op in zip(vec, ops)]))
 
 
 def matpow(matrix, k: int) -> np.ndarray:
@@ -83,11 +115,7 @@ def matpow(matrix, k: int) -> np.ndarray:
     """
     if not 0 <= k <= MAX_MATRIX_POWER:
         raise ValueError(f"exponent must be in [0, {MAX_MATRIX_POWER}], got {k}")
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim == 3 and arr.shape[0] > 0:
-        as_operator(arr[0])
-    else:
-        arr = as_operator(arr)
+    arr = _as_operators(matrix)
     result = np.broadcast_to(np.eye(arr.shape[-1], dtype=complex), arr.shape).copy()
     base = arr
     n = k

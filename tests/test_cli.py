@@ -320,6 +320,23 @@ def test_verify_all_full_report_matches_reference(capsys):
     assert json.loads(out) == report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "lemma2", "--max-power", "64"],
+        ["verify", "lemma2", "--dim", "2", "--trials", "300", "--max-power", "30"],
+    ],
+)
+def test_verify_lemma2_report_matches_reference(capsys, argv):
+    # the printed report of the same run, stored under tests/reference/ and
+    # compared as text: the benchmark's references stop at M = 6
+    name = "-".join(arg.lstrip("-") for arg in argv) + ".json"
+    reference = (Path(__file__).parent / "reference" / name).read_text()
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == reference
+
+
 def test_verify_lemma2_passes_at_the_largest_power(capsys):
     # (I+S)^64 has norm up to 2^64; its checks must not read that as error
     code, out = run_cli(capsys, "verify", "lemma2", "--max-power", "64")

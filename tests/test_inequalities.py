@@ -8,12 +8,13 @@ from hcgame import game, quantum
 from hcgame.game import all_questions
 from hcgame.inequalities import (
     ConstrainedPair,
-    _pair_from_blocks,
+    _block_stacks,
     build_S_T,
     chsh_style_pair,
     induced_edge_observable,
     lemma2_lhs,
     random_constrained_pair,
+    random_constrained_pairs,
     random_state,
     lemma2_slacks,
     relaxed_win_bound,
@@ -24,7 +25,7 @@ from hcgame.inequalities import (
     verify_lemma2,
     verify_lemma3,
 )
-from hcgame.linalg import apply_single_qubit, expectation, is_reflection
+from hcgame.linalg import RowError, apply_single_qubit, expectation, is_reflection
 from hcgame.quantum import (
     QuantumStrategy,
     ghz_state,
@@ -164,6 +165,11 @@ def test_S_and_T_families_commute():
                 assert np.max(np.abs(a @ b - b @ a)) <= 1e-10
 
 
+def _pair_from_blocks(betas, phis):
+    s, t = _block_stacks([betas], [phis])
+    return ConstrainedPair(s[0], t[0])
+
+
 def test_pair_from_blocks_edge_cases():
     pair = _pair_from_blocks([0.0, 0.0], [0.4, 2.0])
     assert np.allclose(pair.t, 0.0)
@@ -187,6 +193,48 @@ def test_random_constrained_pair_exact_constraint():
             assert pair.constraint_residual() <= 1e-12
     with pytest.raises(ValueError):
         random_constrained_pair(0, 1)
+
+
+def test_random_pair_stack_equals_pair_by_pair():
+    seeds = [3, 11, 11, 40]
+    for dim_half in (1, 2, 4):
+        pairs = random_constrained_pairs(dim_half, seeds)
+        assert pairs.s.shape == pairs.t.shape == (4, 2 * dim_half, 2 * dim_half)
+        assert pairs.dim == 2 * dim_half
+        assert pairs.constraint_residual().shape == (4,)
+        for row, seed in enumerate(seeds):
+            single = random_constrained_pair(dim_half, seed)
+            assert np.array_equal(pairs.s[row], single.s)
+            assert np.array_equal(pairs.t[row], single.t)
+    with pytest.raises(ValueError):
+        random_constrained_pairs(0, seeds)
+
+
+@pytest.mark.parametrize(
+    "name, change, message",
+    [
+        ("s", "skew", "S deviates from Hermitian by 1.000e-03, above 1e-09"),
+        ("t", "skew", "T deviates from Hermitian by 1.000e-03, above 1e-09"),
+        ("t", "stretch", "constraint residual"),
+    ],
+)
+def test_stacked_validate_names_the_first_bad_row(name, change, message):
+    pairs = random_constrained_pairs(2, range(5))
+    for row in (3, 1):
+        op = getattr(pairs, name)[row]
+        if change == "skew":
+            op[0, 1] += 1e-3
+        else:
+            op *= 1.01
+    stacked = ConstrainedPair(pairs.s, pairs.t)
+    with pytest.raises(RowError, match=f"^row 1: {message}") as err:
+        stacked.validate()
+    assert err.value.row == 1
+    # the same pair alone fails the same check, with no row in the message
+    with pytest.raises(ValueError, match=f"^{message}") as err:
+        ConstrainedPair(pairs.s[1], pairs.t[1]).validate()
+    assert not isinstance(err.value, RowError)
+    ConstrainedPair(pairs.s[0], pairs.t[0]).validate()
 
 
 def test_random_pairs_do_not_commute_generically():
@@ -282,6 +330,56 @@ def test_lemma2_slacks_equal_the_one_trial_path():
         assert report["passed"]
 
 
+def _dense_lemma2_lhs(dim_half, seed, power):
+    """<(I+S)^M + (I+T)^M> for trial ``seed`` of the sweep, from explicit
+    block matrices, np.linalg.matrix_power and np.vdot."""
+    rng = np.random.default_rng(seed)
+    betas = rng.uniform(0.0, 1.0, dim_half)
+    phis = rng.uniform(0.0, 2.0 * math.pi, dim_half)
+    d = 2 * dim_half
+    s = np.zeros((d, d))
+    t = np.zeros((d, d))
+    for j, (beta, phi) in enumerate(zip(betas, phis)):
+        block = slice(2 * j, 2 * j + 2)
+        s[block, block] = math.sqrt(1.0 - beta**2) * np.array([[math.cos(phi), math.sin(phi)], [math.sin(phi), -math.cos(phi)]])
+        t[block, block] = np.diag([beta, -beta])
+    state_rng = np.random.default_rng((seed, 1))
+    psi = state_rng.standard_normal(d) + 1j * state_rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    eye = np.eye(d)
+    op = np.linalg.matrix_power(eye + s, power) + np.linalg.matrix_power(eye + t, power)
+    return np.vdot(psi, op @ psi).real
+
+
+def test_lemma2_slacks_match_a_dense_oracle():
+    max_dim_half, max_power, seed = 4, 64, 5
+    slacks = lemma2_slacks(2 * max_dim_half * max_power, max_dim_half, max_power, seed)
+    for power in (1, 6, 30, 64):
+        r_star = maximize_r(power).r_star
+        for d in (2, 4, 8):
+            first = (power - 1) * max_dim_half + d // 2 - 1
+            trials = [first, first + max_dim_half * max_power]
+            pairs = random_constrained_pairs(d // 2, [seed + t for t in trials])
+            psis = np.array([random_state(d, np.random.default_rng((seed + t, 1))) for t in trials])
+            lhs = lemma2_lhs(pairs, psis, power)
+            for value, t in zip(lhs, trials):
+                oracle = _dense_lemma2_lhs(d // 2, seed + t, power)
+                assert abs(value - oracle) <= 1e-12 * abs(oracle), (power, d, t)
+                assert abs(r_star - slacks[t] - oracle) <= 1e-12 * r_star, (power, d, t)
+
+
+def test_lemma2_tolerance_covers_the_rounding_of_r_star():
+    # the GHZ edge pair at the maximising angle attains the bound; at large M
+    # it lands a few dozen ulps of r* on either side of it
+    for power in range(1, 65):
+        pair = build_S_T(QuantumStrategy(2, maximize_r(power).theta_star), 2)
+        assert verify_lemma2(pair, ghz_state(2), power), power
+    # S = T = I gives 2^(M+1), about twice the bound
+    eye = np.eye(4, dtype=complex)
+    assert not verify_lemma2(ConstrainedPair(eye, eye), ghz_state(2), 64)
+    assert not verify_lemma2(ConstrainedPair(eye, eye), ghz_state(2), 1)
+
+
 def test_lemma2_holds_at_the_largest_power():
     # (I+S)^64 reaches 2^64 in norm: the operator checks must scale with it
     power = 64
@@ -302,15 +400,15 @@ def test_lemma2_sweep_bounds():
 
 def test_lemma2_trials_stack_in_bounded_chunks(monkeypatch):
     whole = lemma2_slacks(200, 5, 3, 7)
-    real = ineq._lemma2_lhs_trials
+    real = ineq.lemma2_lhs
     passes = []
 
-    def recorded(ids, dim_half, power, seed):
-        passes.append((len(ids), 2 * dim_half))
-        return real(ids, dim_half, power, seed)
+    def recorded(pairs, psis, power):
+        passes.append((len(psis), pairs.dim))
+        return real(pairs, psis, power)
 
     monkeypatch.setattr(ineq, "LEMMA2_STACK_ENTRIES", 64)
-    monkeypatch.setattr(ineq, "_lemma2_lhs_trials", recorded)
+    monkeypatch.setattr(ineq, "lemma2_lhs", recorded)
     assert np.array_equal(lemma2_slacks(200, 5, 3, 7), whole)
     assert sum(size for size, _ in passes) == 200
     # one trial per pass once a single matrix holds more than the cap

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from hcgame.linalg import (
+    RowError,
     apply_single_qubit,
     expectation,
     is_hermitian,
     is_reflection,
     matpow,
+    real_part,
     tensor,
 )
 from hcgame.quantum import ghz_state, z_theta
@@ -56,6 +58,53 @@ def test_expectation_rejects_non_hermitian():
     psi = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         expectation(np.array([[0.0, 1.0], [0.0, 0.0]]), psi)
+
+
+def _hermitian_stack(rng, rows, d):
+    a = rng.standard_normal((rows, d, d)) + 1j * rng.standard_normal((rows, d, d))
+    return a + a.conj().transpose(0, 2, 1)
+
+
+def _state_stack(rng, rows, d):
+    psis = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    return psis / np.linalg.norm(psis, axis=1, keepdims=True)
+
+
+def test_expectation_on_a_stack_equals_row_by_row():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 4, 8):
+        ops, psis = _hermitian_stack(rng, 6, d), _state_stack(rng, 6, d)
+        values = expectation(ops, psis)
+        assert values.shape == (6,)
+        assert values.tolist() == [expectation(op, psi) for op, psi in zip(ops, psis)]
+
+
+def test_stacked_checks_name_the_first_bad_row():
+    rng = np.random.default_rng(8)
+    ops, psis = _hermitian_stack(rng, 5, 4), _state_stack(rng, 5, 4)
+    ops[3, 0, 1] += 1e-6
+    ops[4, 0, 1] += 1e-3
+    with pytest.raises(RowError, match="row 3: operator deviates from Hermitian by 1.000e-06") as err:
+        expectation(ops, psis)
+    assert err.value.row == 3
+    with pytest.raises(RowError, match="row 2: imaginary residue 1.000e-09, above 1e-10"):
+        real_part(np.array([1.0, 2.0 + 1e-12j, 3.0 + 1e-9j, 4.0 + 1.0j]))
+    # one matrix or one value: the same check, without a row
+    with pytest.raises(ValueError, match="^operator deviates from Hermitian by 1.000e-03, above 1e-09$"):
+        expectation(ops[4], psis[4])
+    with pytest.raises(ValueError, match="^imaginary residue 1.000e-09, above 1e-10$"):
+        real_part(3.0 + 1e-9j)
+
+
+def test_expectation_rejects_a_state_stack_of_the_wrong_shape():
+    rng = np.random.default_rng(2)
+    ops = _hermitian_stack(rng, 2, 4)
+    # a (4, 2) array holds as many amplitudes as (2, 4), but not one state per row
+    for psis in (_state_stack(rng, 4, 2), _state_stack(rng, 3, 4), _state_stack(rng, 2, 4)[0], np.zeros((2, 4, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            expectation(ops, psis)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        expectation(ops[0], np.ones(3))
 
 
 def test_expectation_linear_in_operator():
