@@ -32,9 +32,8 @@ from .inequalities import (
     chsh_style_pair,
     induced_edge_observable,
     lemma2_lhs,
-    random_constrained_pair,
+    random_constrained_pairs,
     verify_converse_chain,
-    verify_converse_chains,
     verify_lemma2,
     verify_lemma3,
 )

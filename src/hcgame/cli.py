@@ -140,8 +140,8 @@ def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
         questions = list(all_questions(m))
         for alpha in grid:
             strategy = QuantumStrategy(m, float(alpha))
-            sims = quantum.winning_probabilities_simulated(strategy, questions).tolist()
-            ops = quantum.winning_probabilities_operator(strategy, questions).tolist()
+            sims = quantum.winning_probability_simulated(strategy, questions).tolist()
+            ops = quantum.winning_probability_operator(strategy, questions).tolist()
             total = 0.0
             # summed in question order, one alpha at a time, as the report's digits depend on it
             for sim, op in zip(sims, ops):
@@ -229,7 +229,7 @@ def verify_converse(m_values, alpha_samples: int, tol: float, seed: int) -> dict
     def all_ok(m: int) -> bool:
         questions = list(all_questions(m))
         return all(
-            inequalities.verify_converse_chains(QuantumStrategy(m, float(alpha)), questions, tol) for alpha in grid
+            inequalities.verify_converse_chain(QuantumStrategy(m, float(alpha)), questions, tol) for alpha in grid
         )
 
     holds = all(all_ok(m) for m in m_values)

@@ -150,8 +150,11 @@ def _block_stacks(betas, phis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_constrained_pairs(dim_half: int, seeds) -> ConstrainedPair:
-    """One :func:`random_constrained_pair` per seed, as a validated pair of
-    (K, 2 dim_half, 2 dim_half) stacks."""
+    """One seeded pair per seed, as a validated pair of (K, 2 dim_half,
+    2 dim_half) stacks.  Each satisfies the constraint exactly by block
+    construction: T has 2x2 blocks diag(b, -b) and S pairs each with
+    sqrt(1-b^2) times a random real reflection, giving non-commuting S, T
+    for generic draws."""
     if dim_half < 1:
         raise ValueError(f"need at least one block, got {dim_half}")
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -161,14 +164,6 @@ def random_constrained_pairs(dim_half: int, seeds) -> ConstrainedPair:
     pair = ConstrainedPair(*_block_stacks(betas, phis))
     pair.validate()
     return pair
-
-
-def random_constrained_pair(dim_half: int, seed: int) -> ConstrainedPair:
-    """Seeded pair satisfying the constraint exactly by block construction:
-    T has 2x2 blocks diag(b, -b) and S pairs each with sqrt(1-b^2) times a
-    random real reflection, giving non-commuting S, T for generic draws."""
-    pairs = random_constrained_pairs(dim_half, [seed])
-    return ConstrainedPair(pairs.s[0], pairs.t[0])
 
 
 def chsh_style_pair(a0, a1, b0, b1) -> ConstrainedPair:
@@ -227,7 +222,7 @@ def _edge_stack(strategy: QuantumStrategy, owner: int, bits) -> np.ndarray:
     return np.array([induced_edge_observable(strategy, owner, q1, qi) for q1, qi in bits])
 
 
-def relaxed_win_bounds(strategy: QuantumStrategy, questions) -> np.ndarray:
+def relaxed_win_bound(strategy: QuantumStrategy, questions) -> np.ndarray:
     """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state for
     each of N questions: the product-consistency upper bound on the winning
     probability."""
@@ -238,12 +233,7 @@ def relaxed_win_bounds(strategy: QuantumStrategy, questions) -> np.ndarray:
     return quantum.pair_products(m, len(rows), pairs)
 
 
-def relaxed_win_bound(strategy: QuantumStrategy, q) -> float:
-    """The relaxation bound on one question."""
-    return float(relaxed_win_bounds(strategy, [q])[0])
-
-
-def verify_converse_chains(strategy: QuantumStrategy, questions, tol: float = IDENTITY_ATOL) -> bool:
+def verify_converse_chain(strategy: QuantumStrategy, questions, tol: float = IDENTITY_ATOL) -> bool:
     """Checks, for every question: the simulated winning probability never
     exceeds the relaxation bound; the two parity identities
     O(q1,qi,1) = (-1)^q1 O(q1,1-qi,1) and O(q1,qi,i) = O(1-q1,qi,i); and
@@ -251,28 +241,23 @@ def verify_converse_chains(strategy: QuantumStrategy, questions, tol: float = ID
     m = strategy.m
     if m > 6:
         raise ValueError("chain verification is exposed for m <= 6")
-    questions = [tuple(q) for q in questions]
-    p_sim = quantum.winning_probabilities_simulated(strategy, questions)
-    if np.any(p_sim > relaxed_win_bounds(strategy, questions) + tol):
+    rows = quantum._question_rows(m, questions)
+    p_sim = quantum.winning_probability_simulated(strategy, rows)
+    if np.any(p_sim > relaxed_win_bound(strategy, rows) + tol):
         return False
-    sign = np.array([-1.0 if q[0] else 1.0 for q in questions])[:, None, None]
+    sign = np.where(rows[:, 0], -1.0, 1.0)[:, None, None]
+    questions = rows.tolist()
     for i in range(2, m + 1):
         bits = [(q[0], q[i - 1]) for q in questions]
         first = _edge_stack(strategy, 1, bits) - sign * _edge_stack(strategy, 1, [(q1, 1 - qi) for q1, qi in bits])
         other = _edge_stack(strategy, i, bits) - _edge_stack(strategy, i, [(1 - q1, qi) for q1, qi in bits])
         if np.max(np.abs(first)) > tol or np.max(np.abs(other)) > tol:
             return False
-        # S and T depend on (strategy, i) alone, but the pair is built once
-        # per question, as the one-question check always did; caching it would
-        # change the edge-observable call count the benchmark pins
+        # S and T depend on (strategy, i) alone, yet the pair is built once per
+        # question: the benchmark pins the edge-observable call count this gives
         if any(build_S_T(strategy, i).constraint_residual() > tol for _ in questions):
             return False
     return True
-
-
-def verify_converse_chain(strategy: QuantumStrategy, q, tol: float = IDENTITY_ATOL) -> bool:
-    """The converse chain's checks on one question."""
-    return verify_converse_chains(strategy, [q], tol)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

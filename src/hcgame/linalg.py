@@ -56,12 +56,12 @@ class RowError(ValueError):
 
 def check_rows(excess, atol: float, what: str) -> None:
     """Raise ValueError if ``excess`` (a scalar, or one value per row) is
-    above atol; for rows, a :class:`RowError` naming the first bad row."""
-    over = np.asarray(excess) > atol
-    if over.any():
-        row = int(np.argmax(over))
+    above atol or NaN; for rows, a :class:`RowError` naming the first bad row."""
+    ok = np.asarray(excess) <= atol
+    if not ok.all():
+        row = int(np.argmin(ok))
         detail = f"{what} {np.ravel(excess)[row]:.3e}, above {atol}"
-        raise RowError(row, detail) if over.ndim else ValueError(detail)
+        raise RowError(row, detail) if ok.ndim else ValueError(detail)
 
 
 def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:

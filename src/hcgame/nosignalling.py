@@ -159,12 +159,6 @@ def ns_winning_probability(corr: SparseCorrelation) -> Fraction:
     return Fraction(wins, 2 ** corr.m) * corr.weight
 
 
-def answer_encoding(m: int, masks: MaskTuple) -> int:
-    """Single-integer answer key: per-player masks concatenated, player 1
-    most significant, each field 2^(m-1) bits wide."""
-    return int(_packed(np.array([masks], dtype=np.uint64), 1 << (m - 1))[0])
-
-
 def export_lines(corr: SparseCorrelation):
     """JSON lines {q, a, p}: question bits, canonical answer key, exact weight,
     each the bytes ``json.dumps(..., separators=(",", ":"))`` writes."""

@@ -95,13 +95,15 @@ def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
 
 
 def _question_rows(m: int, questions) -> np.ndarray:
-    """Questions as an (N, m) array of bits."""
-    rows = np.array(questions, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[0] == 0 or rows.shape[1] != m:
-        raise ValueError(f"expected one or more questions of {m} bits, got shape {rows.shape}")
-    if (rows & ~1).any():
+    """Questions as an (N, m) int64 array of bits; raises ValueError unless
+    every entry equals 0 or 1."""
+    given = np.array(questions)
+    if given.ndim != 2 or given.shape[0] == 0 or given.shape[1] != m:
+        raise ValueError(f"expected one or more questions of {m} bits, got shape {given.shape}")
+    ones = given == 1
+    if not (ones | (given == 0)).all():
         raise ValueError("question bits must be 0 or 1")
-    return rows
+    return ones.astype(np.int64)
 
 
 def _basis_entries(theta: float) -> list[list[float]]:
@@ -118,7 +120,7 @@ def _player_gates(strategy: QuantumStrategy, player: int, rows: np.ndarray, entr
     return np.array(pair, dtype=complex)[rows[:, player - 1]]
 
 
-def outcome_distributions(strategy: QuantumStrategy, questions) -> np.ndarray:
+def outcome_distribution(strategy: QuantumStrategy, questions) -> np.ndarray:
     """All 2^m outcome probabilities for each of N questions, as an (N, 2^m) array.
 
     Each qubit is rotated into the eigenbasis of its observable, so index
@@ -132,11 +134,6 @@ def outcome_distributions(strategy: QuantumStrategy, questions) -> np.ndarray:
         gates = _player_gates(strategy, player, rows, _basis_entries)
         psi = apply_single_qubit(psi, gates, player - 1)
     return np.abs(psi) ** 2
-
-
-def outcome_distribution(strategy: QuantumStrategy, q: Bits) -> np.ndarray:
-    """All 2^m outcome probabilities for one question."""
-    return outcome_distributions(strategy, [q])[0]
 
 
 def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
@@ -173,24 +170,19 @@ def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
 @lru_cache(maxsize=WIN_TABLE_CACHE_SIZE)
 def _win_table(m: int, q: Bits) -> np.ndarray:
     """Win bit of the answer :func:`outcome_to_answer` gives each of the 2^m
-    outcomes (indexed as in :func:`outcome_distributions`)."""
+    outcomes (indexed as in :func:`outcome_distribution`)."""
     pinned = [[_pinned_mask(m, player, q[player - 1], minus) for minus in (0, 1)] for player in range(1, m + 1)]
     table = game.win_table(m, q, pinned).reshape(-1)
     table.setflags(write=False)
     return table
 
 
-def winning_probabilities_simulated(strategy: QuantumStrategy, questions) -> np.ndarray:
+def winning_probability_simulated(strategy: QuantumStrategy, questions) -> np.ndarray:
     """Per question, the sum over outcome tuples of outcome probability times
     the game predicate."""
-    questions = [tuple(q) for q in questions]
-    dists = outcome_distributions(strategy, questions)
-    return np.array([float(dist @ _win_table(strategy.m, q)) for dist, q in zip(dists, questions)])
-
-
-def winning_probability_simulated(strategy: QuantumStrategy, q: Bits) -> float:
-    """Winning probability on one question, by simulation."""
-    return float(winning_probabilities_simulated(strategy, [q])[0])
+    rows = _question_rows(strategy.m, questions)
+    dists = outcome_distribution(strategy, rows)
+    return np.array([float(dist @ _win_table(strategy.m, tuple(q))) for dist, q in zip(dists, rows.tolist())])
 
 
 def pair_products(m: int, n: int, pairs) -> np.ndarray:
@@ -206,7 +198,7 @@ def pair_products(m: int, n: int, pairs) -> np.ndarray:
     return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
 
 
-def winning_probabilities_operator(strategy: QuantumStrategy, questions) -> np.ndarray:
+def winning_probability_operator(strategy: QuantumStrategy, questions) -> np.ndarray:
     """The same probabilities through the product-operator identity
     <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
     m = strategy.m
@@ -216,11 +208,6 @@ def winning_probabilities_operator(strategy: QuantumStrategy, questions) -> np.n
     signs = np.where(rows[:, :1] & rows, -1.0, 1.0)[:, :, None, None]
     pairs = ((first, signs[:, i - 1] * _player_gates(strategy, i, rows, _z_entries)) for i in range(2, m + 1))
     return pair_products(m, rows.shape[0], pairs)
-
-
-def winning_probability_operator(strategy: QuantumStrategy, q: Bits) -> float:
-    """Winning probability on one question, by the operator identity."""
-    return float(winning_probabilities_operator(strategy, [q])[0])
 
 
 def average_win_analytic(m: int, alpha: float) -> float:

@@ -83,7 +83,7 @@ def test_criterion_03_strategy_formula_agreement():
         deviation = 0.0
         for alpha in np.linspace(0.0, math.pi / 2, 32):
             strategy = QuantumStrategy(m, float(alpha))
-            avg = sum(winning_probability_simulated(strategy, q) for q in questions) / 2 ** m
+            avg = sum(winning_probability_simulated(strategy, questions)) / 2 ** m
             deviation = max(deviation, abs(avg - average_win_analytic(m, float(alpha))))
         worst[m] = deviation
     elapsed = time.perf_counter() - start
@@ -140,9 +140,8 @@ def test_criterion_07_converse_chain():
         questions = list(all_questions(m))
         for alpha in np.linspace(0.0, math.pi / 2, 16):
             strategy = QuantumStrategy(m, float(alpha))
-            for q in questions:
-                if not verify_converse_chain(strategy, q, tol=1e-10):
-                    ok = False
+            if not verify_converse_chain(strategy, questions, tol=1e-10):
+                ok = False
     _report(7, "relaxation bound and operator identities for m in 2..5", ok)
 
 

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import math
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hcgame import cli, linalg
+from hcgame import cli, inequalities, linalg, quantum
 from hcgame.classical import classical_value_formula
 from hcgame.cli import (
     LEMMA3_MAX_POWER,
@@ -373,7 +374,7 @@ def _failed_lemma2_trials(trials, **_):
         (["lemma3", "--m-max", "8"], "hcgame.inequalities.verify_lemma3", lambda power: power != 3, "two_sided_bounds"),
         (
             ["converse", "--m", "2", "--alpha-samples", "2"],
-            "hcgame.inequalities.verify_converse_chains",
+            "hcgame.inequalities.verify_converse_chain",
             lambda strategy, questions, tol: False,
             "relaxation_and_identities",
         ),
@@ -392,6 +393,36 @@ def test_one_failing_check_fails_its_suite(argv, target, replacement, failing, c
     assert before.keys() == after.keys()
     assert before.pop(failing) != after.pop(failing)
     assert before == after
+
+
+def test_verify_calls_the_quantum_and_converse_kernels(capsys, monkeypatch):
+    # the benchmark's tracer times these names wherever an hcgame module binds
+    # them, so a verify path that went around them would record no calls
+    kernels = (
+        quantum.outcome_distribution,
+        quantum.winning_probability_simulated,
+        quantum.winning_probability_operator,
+        inequalities.relaxed_win_bound,
+        inequalities.verify_converse_chain,
+    )
+    calls = dict.fromkeys((fn.__name__ for fn in kernels), 0)
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in kernels:
+        for name, module in list(sys.modules.items()):
+            if name == "hcgame" or name.startswith("hcgame."):
+                for attr in [a for a, v in vars(module).items() if v is fn]:
+                    monkeypatch.setattr(module, attr, counted(fn))
+    for suite in ("quantum", "converse"):
+        code, _ = run_cli(capsys, "verify", suite, "--m", "2", "--alpha-samples", "1")
+        assert code == 0
+    assert min(calls.values()) >= 1, calls
 
 
 def test_chsh_mismatch_fails_its_report_and_verify_all(capsys, monkeypatch):

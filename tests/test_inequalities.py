@@ -13,15 +13,12 @@ from hcgame.inequalities import (
     chsh_style_pair,
     induced_edge_observable,
     lemma2_lhs,
-    random_constrained_pair,
     random_constrained_pairs,
     random_state,
     lemma2_slacks,
     relaxed_win_bound,
-    relaxed_win_bounds,
     run_lemma2_trials,
     verify_converse_chain,
-    verify_converse_chains,
     verify_lemma2,
     verify_lemma3,
 )
@@ -170,6 +167,11 @@ def _pair_from_blocks(betas, phis):
     return ConstrainedPair(s[0], t[0])
 
 
+def _random_pair(dim_half, seed):
+    pairs = random_constrained_pairs(dim_half, [seed])
+    return ConstrainedPair(pairs.s[0], pairs.t[0])
+
+
 def test_pair_from_blocks_edge_cases():
     pair = _pair_from_blocks([0.0, 0.0], [0.4, 2.0])
     assert np.allclose(pair.t, 0.0)
@@ -188,11 +190,11 @@ def test_pair_from_blocks_edge_cases():
 def test_random_constrained_pair_exact_constraint():
     for seed in (0, 1, 7, 123):
         for dim_half in (1, 2, 4):
-            pair = random_constrained_pair(dim_half, seed)
+            pair = _random_pair(dim_half, seed)
             assert pair.dim == 2 * dim_half
             assert pair.constraint_residual() <= 1e-12
     with pytest.raises(ValueError):
-        random_constrained_pair(0, 1)
+        random_constrained_pairs(0, [1])
 
 
 def test_random_pair_stack_equals_pair_by_pair():
@@ -203,9 +205,9 @@ def test_random_pair_stack_equals_pair_by_pair():
         assert pairs.dim == 2 * dim_half
         assert pairs.constraint_residual().shape == (4,)
         for row, seed in enumerate(seeds):
-            single = random_constrained_pair(dim_half, seed)
-            assert np.array_equal(pairs.s[row], single.s)
-            assert np.array_equal(pairs.t[row], single.t)
+            single = random_constrained_pairs(dim_half, [seed])
+            assert np.array_equal(pairs.s[row], single.s[0])
+            assert np.array_equal(pairs.t[row], single.t[0])
     with pytest.raises(ValueError):
         random_constrained_pairs(0, seeds)
 
@@ -237,8 +239,16 @@ def test_stacked_validate_names_the_first_bad_row(name, change, message):
     ConstrainedPair(pairs.s[0], pairs.t[0]).validate()
 
 
+def test_nan_pair_fails_validate():
+    nan = np.full((2, 2), math.nan)
+    with pytest.raises(ValueError, match="^S deviates from Hermitian by nan"):
+        ConstrainedPair(nan, np.eye(2)).validate()
+    with pytest.raises(ValueError, match="^T deviates from Hermitian by nan"):
+        ConstrainedPair(np.eye(2), np.diag([0.0, math.nan])).validate()
+
+
 def test_random_pairs_do_not_commute_generically():
-    pair = random_constrained_pair(3, 5)
+    pair = _random_pair(3, 5)
     assert np.max(np.abs(pair.s @ pair.t - pair.t @ pair.s)) > 1e-3
 
 
@@ -322,7 +332,7 @@ def test_lemma2_slacks_equal_the_one_trial_path():
         assert slacks.shape == (trials,)
         for t, slack in enumerate(slacks):
             dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
-            pair = random_constrained_pair(dim_half, seed + t)
+            pair = _random_pair(dim_half, seed + t)
             psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
             assert slack == maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
         report = run_lemma2_trials(trials, max_dim_half, max_power, seed)
@@ -386,7 +396,7 @@ def test_lemma2_holds_at_the_largest_power():
     r_star = maximize_r(power).r_star
     for seed in range(40):
         dim_half = 1 + seed % 4
-        pair = random_constrained_pair(dim_half, seed)
+        pair = _random_pair(dim_half, seed)
         psi = random_state(2 * dim_half, np.random.default_rng((seed, 1)))
         assert lemma2_lhs(pair, psi, power) <= r_star
 
@@ -507,8 +517,8 @@ def test_relaxed_win_bound_matches_win_probability():
         for alpha in (0.2, math.pi / 4):
             s = QuantumStrategy(m, alpha)
             for q in all_questions(m):
-                assert relaxed_win_bound(s, q) == pytest.approx(
-                    winning_probability_simulated(s, q), abs=1e-10
+                assert relaxed_win_bound(s, [q])[0] == pytest.approx(
+                    winning_probability_simulated(s, [q])[0], abs=1e-10
                 )
 
 
@@ -517,7 +527,7 @@ def test_converse_chain():
         for alpha in (0.0, 0.4, math.pi / 4, math.pi / 2):
             s = QuantumStrategy(m, alpha)
             for q in all_questions(m):
-                assert verify_converse_chain(s, q)
+                assert verify_converse_chain(s, [q])
 
 
 def test_converse_chain_negative_control(monkeypatch):
@@ -531,13 +541,13 @@ def test_converse_chain_negative_control(monkeypatch):
         return edge
 
     monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
-    assert not verify_converse_chain(s, (0, 0))
-    assert not verify_converse_chains(s, list(all_questions(2)))
+    assert not verify_converse_chain(s, [(0, 0)])
+    assert not verify_converse_chain(s, list(all_questions(2)))
 
 
 def _converse_chain_one_question(strategy, q, tol):
     # the chain's checks on one question, edge by edge
-    if winning_probability_simulated(strategy, q) > _relaxed_win_bound_one_state(strategy, q) + tol:
+    if winning_probability_simulated(strategy, [q])[0] > _relaxed_win_bound_one_state(strategy, q) + tol:
         return False
     for i in range(2, strategy.m + 1):
         q1, qi = q[0], q[i - 1]
@@ -562,13 +572,13 @@ def test_converse_chains_give_the_verdict_of_one_row_calls():
             # below 1e-15 the rounding of the bound and of S^2 + T^2 decides,
             # so some strategies fail on some questions
             for tol in (1e-10, 1.2e-16, 1e-16, 0.0):
-                verdict = verify_converse_chains(s, questions, tol)
-                assert verdict == all(verify_converse_chain(s, q, tol) for q in questions)
+                verdict = verify_converse_chain(s, questions, tol)
+                assert verdict == all(verify_converse_chain(s, [q], tol) for q in questions)
                 assert verdict == all(_converse_chain_one_question(s, q, tol) for q in questions)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
     with pytest.raises(ValueError):
-        verify_converse_chains(QuantumStrategy(7, 0.3), [(0,) * 7])
+        verify_converse_chain(QuantumStrategy(7, 0.3), [(0,) * 7])
 
 
 def _relaxed_win_bound_one_state(strategy, q):
@@ -587,15 +597,17 @@ def test_relaxed_win_bounds_match_one_row_calls():
         questions = list(all_questions(m))
         for alpha in (0.0, 0.3, math.pi / 3):
             s = QuantumStrategy(m, alpha)
-            bounds = relaxed_win_bounds(s, questions)
+            bounds = relaxed_win_bound(s, questions)
             assert bounds.shape == (len(questions),)
             for bound, q in zip(bounds, questions):
-                assert abs(bound - relaxed_win_bound(s, q)) <= 1e-15
+                assert abs(bound - relaxed_win_bound(s, [q])[0]) <= 1e-15
                 assert abs(bound - _relaxed_win_bound_one_state(s, q)) <= 1e-15
-    # no question, or one that is too short, too long or not binary
-    for questions in ([], [(0, 1)], [(0, 1, 1, 1)], [(0, 1, 2)]):
+    # no question, or one that is too short, too long, not binary or not an integer
+    for questions in ([], [(0, 1)], [(0, 1, 1, 1)], [(0, 1, 2)], [(0.9, 1, 0)], [(0, 0.5, 1)]):
         with pytest.raises(ValueError):
-            relaxed_win_bounds(QuantumStrategy(3, 0.1), questions)
+            relaxed_win_bound(QuantumStrategy(3, 0.1), questions)
+    with pytest.raises(ValueError):
+        relaxed_win_bound(QuantumStrategy(2, 0.3), [(0.9, 1)])
 
 
 def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
@@ -608,7 +620,7 @@ def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
 
     monkeypatch.setattr(ineq, "induced_edge_observable", twisted)
     with pytest.raises(ValueError, match="imaginary residue"):
-        relaxed_win_bounds(s, [(0, 0), (1, 1)])
+        relaxed_win_bound(s, [(0, 0), (1, 1)])
 
 
 def test_random_state_normalized():

@@ -96,6 +96,16 @@ def test_stacked_checks_name_the_first_bad_row():
         real_part(3.0 + 1e-9j)
 
 
+def test_nan_fails_the_checks():
+    with pytest.raises(ValueError, match="^operator deviates from Hermitian by nan, above 1e-09$"):
+        expectation(np.full((2, 2), math.nan), [1, 0])
+    with pytest.raises(ValueError, match="^imaginary residue nan, above 1e-10$"):
+        real_part(complex(1.0, math.nan))
+    with pytest.raises(RowError, match="^row 1: imaginary residue nan") as err:
+        real_part(np.array([1.0, complex(2.0, math.nan), 3.0 + 1.0j]))
+    assert err.value.row == 1
+
+
 def test_expectation_rejects_a_state_stack_of_the_wrong_shape():
     rng = np.random.default_rng(2)
     ops = _hermitian_stack(rng, 2, 4)

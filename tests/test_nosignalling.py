@@ -17,7 +17,6 @@ from hcgame.game import (
 from hcgame.nosignalling import (
     SparseCorrelation,
     _packed,
-    answer_encoding,
     build_ns_correlation,
     export_lines,
     in_Z,
@@ -259,9 +258,9 @@ def test_winning_probability_detects_corruption():
     assert ns_winning_probability(SparseCorrelation(2, corr.weight, bad)) < 1
 
 
-def test_answer_encoding_and_export():
+def test_packed_key_and_export():
     corr = build_ns_correlation(2)
-    assert answer_encoding(2, (0b10, 0b01)) == 0b1001
+    assert _packed(np.array([[0b10, 0b01]], dtype=np.uint64), 2).tolist() == [0b1001]
     lines = list(export_lines(corr))
     assert len(lines) == 8
     first = json.loads(lines[0])
@@ -287,9 +286,6 @@ def test_export_equals_json_dumps_per_line():
             for masks in corr.support[q]
         ]
         assert list(export_lines(corr)) == expected
-        assert [answer_encoding(m, masks) for masks in corr.support[(1,) * m]] == [
-            _encoding(m, masks) for masks in corr.support[(1,) * m]
-        ]
 
 
 def test_probability_lookup():

@@ -17,7 +17,6 @@ from hcgame.quantum import (
     maximize_r,
     measurement_angle,
     outcome_distribution,
-    outcome_distributions,
     outcome_probability,
     outcome_to_answer,
     quantum_value,
@@ -25,8 +24,6 @@ from hcgame.quantum import (
     quantum_value_excess,
     r_function,
     r_function_scaled,
-    winning_probabilities_operator,
-    winning_probabilities_simulated,
     winning_probability_operator,
     winning_probability_simulated,
 )
@@ -88,7 +85,7 @@ def test_outcome_distribution_matches_pointwise():
     for m in (2, 3):
         s = QuantumStrategy(m, 0.41)
         for q in all_questions(m):
-            dist = outcome_distribution(s, q)
+            dist = outcome_distribution(s, [q])[0]
             for idx, o in enumerate(_outcomes(m)):
                 assert dist[idx] == pytest.approx(outcome_probability(s, q, o), abs=1e-12)
 
@@ -162,23 +159,23 @@ def test_outcome_to_answer_m2_example():
 
 def test_win_alpha_zero_q_zero():
     s = QuantumStrategy(2, 0.0)
-    assert winning_probability_simulated(s, (0, 0)) == pytest.approx(1.0, abs=1e-12)
+    assert winning_probability_simulated(s, [(0, 0)])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_oracle_simulated_equals_operator():
     for m, samples in ((2, 9), (3, 9), (4, 9), (5, 9), (6, 5)):
         for alpha in np.linspace(0.0, math.pi / 2, samples):
             s = QuantumStrategy(m, float(alpha))
-            for q in all_questions(m):
-                sim = winning_probability_simulated(s, q)
-                op = winning_probability_operator(s, q)
-                assert sim == pytest.approx(op, abs=1e-10)
+            questions = list(all_questions(m))
+            sims = winning_probability_simulated(s, questions)
+            ops = winning_probability_operator(s, questions)
+            assert np.max(np.abs(sims - ops)) <= 1e-10
 
 
 def test_m2_average_matches_closed_form():
     for alpha in np.linspace(0.0, math.pi / 2, 17):
         s = QuantumStrategy(2, float(alpha))
-        avg = sum(winning_probability_simulated(s, q) for q in all_questions(2)) / 4
+        avg = sum(winning_probability_simulated(s, list(all_questions(2)))) / 4
         assert avg == pytest.approx(average_win_analytic(2, float(alpha)), abs=1e-12)
 
 
@@ -200,7 +197,7 @@ def test_simulated_average_matches_independent_expansion():
     for m in (2, 3, 4, 5):
         for alpha in np.linspace(0.0, math.pi / 2, 7):
             s = QuantumStrategy(m, float(alpha))
-            avg = sum(winning_probability_simulated(s, q) for q in all_questions(m)) / 2 ** m
+            avg = sum(winning_probability_simulated(s, list(all_questions(m)))) / 2 ** m
             assert avg == pytest.approx(_ghz_strategy_average_exact(m, float(alpha)), abs=1e-12)
 
 
@@ -209,7 +206,7 @@ def test_closed_form_diverges_from_simulation_beyond_two_players():
     # strategy yields once m >= 3 (tracked in the acceptance suite)
     alpha = math.pi / 4
     s = QuantumStrategy(3, alpha)
-    avg = sum(winning_probability_simulated(s, q) for q in all_questions(3)) / 8
+    avg = sum(winning_probability_simulated(s, list(all_questions(3)))) / 8
     assert avg == pytest.approx((5 + 2 * SQRT2) / 16, abs=1e-12)
     assert average_win_analytic(3, alpha) == pytest.approx((3 + 2 * SQRT2) / 8, abs=1e-12)
     assert avg < average_win_analytic(3, alpha)
@@ -331,14 +328,14 @@ def test_batched_simulation_equals_one_row_calls():
         questions = list(all_questions(m))
         for alpha in np.linspace(0.0, math.pi / 2, samples):
             s = QuantumStrategy(m, float(alpha))
-            dists = outcome_distributions(s, questions)
-            sims = winning_probabilities_simulated(s, questions)
-            ops = winning_probabilities_operator(s, questions)
+            dists = outcome_distribution(s, questions)
+            sims = winning_probability_simulated(s, questions)
+            ops = winning_probability_operator(s, questions)
             assert dists.shape == (len(questions), 1 << m)
             for k, q in enumerate(questions):
-                assert np.array_equal(dists[k], outcome_distribution(s, q))
-                assert sims[k] == winning_probability_simulated(s, q)
-                assert ops[k] == winning_probability_operator(s, q)
+                assert np.array_equal(dists[k], outcome_distribution(s, [q])[0])
+                assert sims[k] == winning_probability_simulated(s, [q])[0]
+                assert ops[k] == winning_probability_operator(s, [q])[0]
 
 
 def _operator_loop_with_signs(strategy, questions):
@@ -362,7 +359,7 @@ def test_operator_identity_equals_the_signed_loop_exactly():
         questions = list(all_questions(m))
         for alpha in (0.0, 0.37, math.pi / 4, 1.2, math.pi / 2):
             s = QuantumStrategy(m, alpha)
-            ops = winning_probabilities_operator(s, questions)
+            ops = winning_probability_operator(s, questions)
             assert ops.tolist() == _operator_loop_with_signs(s, questions).tolist()
 
 
@@ -372,9 +369,9 @@ def test_batched_simulation_agrees_with_outcome_probability():
         outcomes = list(_outcomes(m))
         for alpha in (0.0, 0.37, math.pi / 2):
             s = QuantumStrategy(m, alpha)
-            dists = outcome_distributions(s, questions)
-            sims = winning_probabilities_simulated(s, questions)
-            ops = winning_probabilities_operator(s, questions)
+            dists = outcome_distribution(s, questions)
+            sims = winning_probability_simulated(s, questions)
+            ops = winning_probability_operator(s, questions)
             for k, q in enumerate(questions):
                 pointwise = [outcome_probability(s, q, o) for o in outcomes]
                 assert np.max(np.abs(dists[k] - pointwise)) <= 1e-12
@@ -385,8 +382,10 @@ def test_batched_simulation_agrees_with_outcome_probability():
 
 def test_batched_simulation_rejects_bad_questions():
     s = QuantumStrategy(3, 0.2)
-    for questions in ([], [(0, 1)], [(0, 1, 2)], [(0, 0, 0), (1, 1)]):
-        for fn in (outcome_distributions, winning_probabilities_simulated, winning_probabilities_operator):
+    # none, too short, not a bit, ragged, not an integer, NaN
+    bad = ([], [(0, 1)], [(0, 1, 2)], [(0, 0, 0), (1, 1)], [(0.5, 1, 0)], [(0, 1.7, 1)], [(math.nan, 0, 0)])
+    for questions in bad:
+        for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
             with pytest.raises(ValueError):
                 fn(s, questions)
 
@@ -401,9 +400,9 @@ def _twisted_z_entries(theta):
 def test_imaginary_residue_raises_value_error(monkeypatch):
     # a raised error, not an assert, so the check survives python -O
     s = QuantumStrategy(2, 0.6)
-    assert abs(winning_probability_operator(s, (1, 0)) - winning_probability_simulated(s, (1, 0))) <= 1e-12
+    assert abs(winning_probability_operator(s, [(1, 0)])[0] - winning_probability_simulated(s, [(1, 0)])[0]) <= 1e-12
     monkeypatch.setattr(quantum, "_z_entries", _twisted_z_entries)
     with pytest.raises(ValueError, match="imaginary residue"):
-        winning_probabilities_operator(s, [(0, 0), (1, 0)])
+        winning_probability_operator(s, [(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="imaginary residue"):
         outcome_probability(s, (1, 0), (1, 1))
