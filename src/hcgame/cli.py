@@ -30,6 +30,9 @@ from .quantum import (
 DEFAULT_SEED = 42
 # largest m that values and figure3 accept
 VALUES_MAX_M = 64
+# largest m of verify quantum and converse: the --m bound and the 2..max sweeps
+QUANTUM_MAX_M = 6
+CONVERSE_MAX_M = 5
 # past about M = 536 the lemma 3 lower bound M * 2^-(2M+1) is no longer a
 # normal double, so its comparisons stop meaning anything
 LEMMA3_MAX_POWER = 510
@@ -255,8 +258,8 @@ def verify_all(quick: bool, seed: int) -> dict:
         converse_ms, converse_samples = range(2, 5), 4
         lemma3_max = 32
     else:
-        quantum_ms, alpha_samples, trials = range(2, 7), 32, 1000
-        converse_ms, converse_samples = range(2, 6), 16
+        quantum_ms, alpha_samples, trials = range(2, QUANTUM_MAX_M + 1), 32, 1000
+        converse_ms, converse_samples = range(2, CONVERSE_MAX_M + 1), 16
         lemma3_max = 64
     reports = [
         verify_classical(2, seed),
@@ -366,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
     v_classical.set_defaults(report=lambda a: verify_classical(a.m, a.seed))
 
     v_quantum = suites.add_parser("quantum", parents=[common])
-    v_quantum.add_argument("--m", type=_int_range(2, 6), default=None, help="single m; default sweeps 2..6")
+    v_quantum.add_argument("--m", type=_int_range(2, QUANTUM_MAX_M), default=None, help=f"single m; default sweeps 2..{QUANTUM_MAX_M}")
     v_quantum.add_argument("--alpha-samples", type=_int_range(1, MAX_ALPHA_SAMPLES), default=32)
     v_quantum.add_argument("--tol", type=_tolerance, default=1e-9)
-    v_quantum.set_defaults(report=lambda a: verify_quantum(_m_values(a.m, 6), a.alpha_samples, a.tol, a.seed))
+    v_quantum.set_defaults(report=lambda a: verify_quantum(_m_values(a.m, QUANTUM_MAX_M), a.alpha_samples, a.tol, a.seed))
 
     v_ns = suites.add_parser("nosignalling", parents=[common])
-    v_ns.add_argument("--m", type=int, choices=(2, 3, 4), default=2)
+    v_ns.add_argument("--m", type=int, choices=range(2, nosignalling.NS_MAX_DIMENSION + 1), default=2)
     v_ns.add_argument("--subset-max", type=_int_range(1), default=None, help="at most --m")
     v_ns.add_argument("--export", type=str, default=None, help="write the support as JSON lines")
     v_ns.set_defaults(report=lambda a: verify_nosignalling(a.m, a.subset_max, a.seed, a.export))
@@ -389,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     v_l3.set_defaults(report=lambda a: verify_lemma3(a.m_max, a.seed))
 
     v_conv = suites.add_parser("converse", parents=[common])
-    v_conv.add_argument("--m", type=_int_range(2, 5), default=None, help="single m; default sweeps 2..5")
+    v_conv.add_argument("--m", type=_int_range(2, CONVERSE_MAX_M), default=None, help=f"single m; default sweeps 2..{CONVERSE_MAX_M}")
     v_conv.add_argument("--alpha-samples", type=_int_range(1, MAX_ALPHA_SAMPLES), default=16)
     v_conv.add_argument("--tol", type=_tolerance, default=1e-10)
-    v_conv.set_defaults(report=lambda a: verify_converse(_m_values(a.m, 5), a.alpha_samples, a.tol, a.seed))
+    v_conv.set_defaults(report=lambda a: verify_converse(_m_values(a.m, CONVERSE_MAX_M), a.alpha_samples, a.tol, a.seed))
 
     v_all = suites.add_parser("all", parents=[common])
     v_all.add_argument("--quick", action="store_true")

@@ -143,9 +143,6 @@ class FacetAssignment:
         """Signs in facet order, as a tuple of +1/-1."""
         return tuple(1 - 2 * ((self.mask >> k) & 1) for k in range(self.size))
 
-    def vertices(self) -> list[Bits]:
-        return facet_vertices(self.m, self.player, self.question_bit)
-
     def value_at(self, vertex: Bits) -> int:
         pos = _facet_position(self.m, self.player, self.question_bit).get(
             vertex_index(vertex)

@@ -26,6 +26,7 @@ from .quantum import QuantumStrategy, maximize_r, r_excess_scaled
 
 CONSTRAINT_ATOL = 1e-9
 IDENTITY_ATOL = 1e-10
+STATE_NORM_ATOL = 1e-12
 # 4m edges per strategy; room for every strategy of a default converse sweep
 EDGE_CACHE_SIZE = 1024
 # a stacked lemma-2 pass takes as many trials as keep each (K, d, d) stack
@@ -179,13 +180,14 @@ def chsh_style_pair(a0, a1, b0, b1) -> ConstrainedPair:
 
 
 def lemma2_lhs(pair: ConstrainedPair, psi, power: int):
-    """<(I+S)^M + (I+T)^M> on the given state; for a stacked pair, one
+    """<(I+S)^M + (I+T)^M> on the given unit state; for a stacked pair, one
     value per row, with ``psi`` a (K, d) stack of states.
 
     The operator's norm grows like 2^M, so its Hermitian and imaginary-residue
     checks run on the operator scaled by 2^-M; a power of two scales exactly,
     so the value is the same as without scaling.
     """
+    check_rows(np.abs(np.linalg.norm(psi, axis=-1) - 1.0), STATE_NORM_ATOL, "state norm deviates from 1 by")
     eye = np.eye(pair.dim, dtype=complex)
     scale = 2.0 ** power
     op = (matpow(eye + pair.s, power) + matpow(eye + pair.t, power)) / scale
@@ -239,6 +241,8 @@ def verify_converse_chain(strategy: QuantumStrategy, questions, tol: float = IDE
     O(q1,qi,1) = (-1)^q1 O(q1,1-qi,1) and O(q1,qi,i) = O(1-q1,qi,i); and
     S^2 + T^2 = I for every pairing.  True when all of them hold."""
     m = strategy.m
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     if m > 6:
         raise ValueError("chain verification is exposed for m <= 6")
     rows = quantum._question_rows(m, questions)
@@ -279,8 +283,7 @@ def run_lemma2_trials(
     are covered evenly.  Returns the worst slack r* - lhs (negative means a
     violation beyond tolerance would be close).
     """
-    slacks = lemma2_slacks(trials, max_dim_half, max_power, seed)
-    powers = 1 + np.arange(trials) // max_dim_half % max_power
+    slacks, powers = lemma2_slacks(trials, max_dim_half, max_power, seed)
     failures = int(np.count_nonzero(~_lemma2_within(slacks, powers, tol)))
     return {
         "trials": trials,
@@ -290,16 +293,19 @@ def run_lemma2_trials(
     }
 
 
-def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> np.ndarray:
-    """The slack r* - lhs of each trial of :func:`run_lemma2_trials`, in
-    trial order, from one stacked pass per (block count, exponent) group."""
+def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slack r* - lhs and the exponent of each trial of
+    :func:`run_lemma2_trials`, in trial order, from one stacked pass per
+    (block count, exponent) group."""
     if max_dim_half < 1 or max_power < 1:
         raise ValueError(f"need at least one block and one exponent, got {max_dim_half} and {max_power}")
     slacks = np.empty(trials)
+    powers = np.empty(trials, dtype=int)
     period = max_dim_half * max_power
     for first in range(min(period, trials)):
         dim_half, power = 1 + first % max_dim_half, 1 + first // max_dim_half
         group = range(first, trials, period)
+        powers[group] = power
         chunk = max(1, LEMMA2_STACK_ENTRIES // (2 * dim_half) ** 2)
         for start in range(0, len(group), chunk):
             ids = group[start : start + chunk]
@@ -309,4 +315,4 @@ def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> 
                 slacks[ids] = maximize_r(power).r_star - lemma2_lhs(pairs, psis, power)
             except RowError as err:
                 raise ValueError(f"trial {ids[err.row]}: {err.detail}") from None
-    return slacks
+    return slacks, powers

@@ -15,7 +15,6 @@ MAX_TENSOR_ENTRIES = 1 << 24
 MAX_STATE_AMPLITUDES = 1 << 24
 MAX_MATRIX_POWER = 64
 
-HERMITIAN_ATOL = 1e-12
 OPERATOR_ATOL = 1e-9
 REFLECTION_ATOL = 1e-9
 IMAG_RESIDUE_ATOL = 1e-10
@@ -62,10 +61,6 @@ def check_rows(excess, atol: float, what: str) -> None:
         row = int(np.argmin(ok))
         detail = f"{what} {np.ravel(excess)[row]:.3e}, above {atol}"
         raise RowError(row, detail) if ok.ndim else ValueError(detail)
-
-
-def is_hermitian(matrix, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(hermitian_excess(as_operator(matrix)) <= atol)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -131,19 +126,8 @@ def matpow(matrix, k: int) -> np.ndarray:
 def is_reflection(matrix) -> bool:
     """Hermitian with spectrum in {+1, -1}, i.e. M^2 = I within tolerance."""
     arr = as_operator(matrix)
-    if not is_hermitian(arr, REFLECTION_ATOL):
-        return False
-    eye = np.eye(arr.shape[0])
-    return bool(np.max(np.abs(arr @ arr - eye)) <= REFLECTION_ATOL)
-
-
-def _qubits_for_length(n: int) -> int:
-    if n > MAX_STATE_AMPLITUDES:
-        raise ValueError(f"state of {n} amplitudes exceeds cap {MAX_STATE_AMPLITUDES}")
-    qubits = n.bit_length() - 1
-    if n != 1 << qubits or n < 2:
-        raise ValueError(f"state length {n} is not a power of two")
-    return qubits
+    square_excess = np.max(np.abs(arr @ arr - np.eye(arr.shape[0])))
+    return bool(hermitian_excess(arr) <= REFLECTION_ATOL and square_excess <= REFLECTION_ATOL)
 
 
 def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
@@ -157,7 +141,12 @@ def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim not in (1, 2) or vec.size == 0:
         raise ValueError(f"expected a state or a non-empty stack of states, got shape {vec.shape}")
-    n = _qubits_for_length(vec.shape[-1])
+    length = vec.shape[-1]
+    if length > MAX_STATE_AMPLITUDES:
+        raise ValueError(f"state of {length} amplitudes exceeds cap {MAX_STATE_AMPLITUDES}")
+    n = length.bit_length() - 1
+    if length != 1 << n or length < 2:
+        raise ValueError(f"state length {length} is not a power of two")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} out of range for {n} qubits")
     g = np.asarray(gate, dtype=complex)

@@ -28,9 +28,6 @@ THETA_INTERVAL_TOL = 1e-12
 THETA_RELATIVE_TOL = 1e-6
 _DIRECT_POWER_MAX = 50
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# one table per question: every question of the largest simulable m fits, so
-# a sweep over alphas builds each table once
-WIN_TABLE_CACHE_SIZE = 1 << GHZ_MAX_QUBITS
 # lemma 3 asks for exponents up to 510
 MAXIMIZE_R_CACHE_SIZE = 1024
 
@@ -54,14 +51,6 @@ def z_theta(theta: float) -> np.ndarray:
     return np.array(_z_entries(theta), dtype=complex)
 
 
-def measurement_angle(player: int, question_bit: int, alpha: float) -> float:
-    if question_bit not in (0, 1):
-        raise ValueError(f"question bit must be 0 or 1, got {question_bit}")
-    if player == 1:
-        return question_bit * (math.pi / 2.0)
-    return alpha if question_bit == 0 else -alpha
-
-
 @dataclass(frozen=True)
 class QuantumStrategy:
     """GHZ strategy parametrised by the measurement tilt of players 2..m."""
@@ -76,15 +65,29 @@ class QuantumStrategy:
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
 
     def angle(self, player: int, question_bit: int) -> float:
-        return measurement_angle(player, question_bit, self.alpha)
+        if question_bit not in (0, 1):
+            raise ValueError(f"question bit must be 0 or 1, got {question_bit}")
+        if player == 1:
+            return question_bit * (math.pi / 2.0)
+        return self.alpha if question_bit == 0 else -self.alpha
 
     def observable(self, player: int, question_bit: int) -> np.ndarray:
         return z_theta(self.angle(player, question_bit))
 
 
+def _question_and_outcomes(m: int, q, o) -> tuple[list[int], tuple]:
+    """q as a list of m bits and o as a tuple of m outcomes, each +1 or -1;
+    raises ValueError unless they are that."""
+    o = tuple(o)
+    if len(o) != m or any(v not in (1, -1) for v in o):
+        raise ValueError(f"expected {m} outcomes, each +1 or -1, got {o}")
+    return _question_rows(m, [q]).tolist()[0], o
+
+
 def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
     """Probability of the +/-1 outcome tuple o under the question q."""
     m = strategy.m
+    q, o = _question_and_outcomes(m, q, o)
     psi = ghz_state(m)
     current = psi
     eye = np.eye(2, dtype=complex)
@@ -155,11 +158,8 @@ def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
 
 def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
     """Facet labels induced by measurement outcomes (see :func:`_pinned_mask`)."""
-    m, q, o = strategy.m, tuple(q), tuple(o)
-    if len(q) != m or len(o) != m:
-        raise ValueError("question and outcome tuple must both have length m")
-    if any(v not in (1, -1) for v in o):
-        raise ValueError("outcomes must be +1 or -1")
+    m = strategy.m
+    q, o = _question_and_outcomes(m, q, o)
     assignments = []
     for player in range(1, m + 1):
         qb, minus = q[player - 1], int(o[player - 1] == -1)
@@ -167,7 +167,9 @@ def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
     return Answer(tuple(assignments))
 
 
-@lru_cache(maxsize=WIN_TABLE_CACHE_SIZE)
+# keyed by (m, q) with m <= GHZ_MAX_QUBITS: at most 8,188 tables of 2^m bytes
+# (about 22 MB), so the cache needs no bound and a sweep builds each table once
+@lru_cache(maxsize=None)
 def _win_table(m: int, q: Bits) -> np.ndarray:
     """Win bit of the answer :func:`outcome_to_answer` gives each of the 2^m
     outcomes (indexed as in :func:`outcome_distribution`)."""
@@ -211,11 +213,13 @@ def winning_probability_operator(strategy: QuantumStrategy, questions) -> np.nda
 
 
 def average_win_analytic(m: int, alpha: float) -> float:
-    """Closed form [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, evaluated as
-    r(a, m-1) / 2^(m-1) / 2 so large m cannot overflow."""
+    """Closed form [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, with each base
+    halved before the power so large m cannot overflow."""
     if m < 2:
         raise ValueError(f"need at least two players, got {m}")
-    return r_function_scaled(alpha, m - 1) / 2.0
+    ca = (1.0 + math.cos(alpha)) / 2.0
+    sa = (1.0 + math.sin(alpha)) / 2.0
+    return (ca ** (m - 1) + sa ** (m - 1)) / 2.0
 
 
 def r_function(theta: float, power: int) -> float:
@@ -226,15 +230,6 @@ def r_function(theta: float, power: int) -> float:
     if power <= _DIRECT_POWER_MAX:
         return (1.0 + c) ** power + (1.0 + s) ** power
     return math.exp(power * math.log1p(c)) + math.exp(power * math.log1p(s))
-
-
-def r_function_scaled(theta: float, power: int) -> float:
-    """r(theta, M) / 2^M, safe for arbitrarily large M."""
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
-    ca = (1.0 + math.cos(theta)) / 2.0
-    sa = (1.0 + math.sin(theta)) / 2.0
-    return ca ** power + sa ** power
 
 
 def r_excess_scaled(theta: float, power: int) -> float:

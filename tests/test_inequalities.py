@@ -106,7 +106,7 @@ def test_edge_observable_owner_validation():
 
 def test_edge_observable_memo_is_read_only_and_matches_fresh():
     assert induced_edge_observable.cache_info().maxsize is not None
-    assert quantum._win_table.cache_info().maxsize >= 1 << quantum.GHZ_MAX_QUBITS
+    assert quantum._win_table.cache_info().maxsize is None
     assert maximize_r.cache_info().maxsize is not None
     s = QuantumStrategy(3, 0.5)
     for owner in (1, 2, 3):
@@ -328,10 +328,11 @@ def test_lemma2_randomized_trials():
 def test_lemma2_slacks_equal_the_one_trial_path():
     # the second case runs up to (I+S)^64, whose checks scale with its 2^64 norm
     for trials, max_dim_half, max_power, seed in ((1000, 4, 6, 42), (300, 3, 64, 7)):
-        slacks = lemma2_slacks(trials, max_dim_half, max_power, seed)
-        assert slacks.shape == (trials,)
+        slacks, powers = lemma2_slacks(trials, max_dim_half, max_power, seed)
+        assert slacks.shape == powers.shape == (trials,)
         for t, slack in enumerate(slacks):
             dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
+            assert powers[t] == power
             pair = _random_pair(dim_half, seed + t)
             psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
             assert slack == maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
@@ -363,7 +364,7 @@ def _dense_lemma2_lhs(dim_half, seed, power):
 
 def test_lemma2_slacks_match_a_dense_oracle():
     max_dim_half, max_power, seed = 4, 64, 5
-    slacks = lemma2_slacks(2 * max_dim_half * max_power, max_dim_half, max_power, seed)
+    slacks, _ = lemma2_slacks(2 * max_dim_half * max_power, max_dim_half, max_power, seed)
     for power in (1, 6, 30, 64):
         r_star = maximize_r(power).r_star
         for d in (2, 4, 8):
@@ -376,6 +377,42 @@ def test_lemma2_slacks_match_a_dense_oracle():
                 oracle = _dense_lemma2_lhs(d // 2, seed + t, power)
                 assert abs(value - oracle) <= 1e-12 * abs(oracle), (power, d, t)
                 assert abs(r_star - slacks[t] - oracle) <= 1e-12 * r_star, (power, d, t)
+
+
+def test_lemma2_failures_count_the_verdict_of_each_trial(monkeypatch):
+    # with r* halved some trials fail; the count must pair each slack with its own exponent
+    real = ineq.maximize_r
+    monkeypatch.setattr(ineq, "maximize_r", lambda power: real(power)._replace(r_star=real(power).r_star / 2))
+    trials, max_dim_half, max_power, seed = 120, 3, 5, 11
+    slacks, powers = lemma2_slacks(trials, max_dim_half, max_power, seed)
+    verdicts = [bool(ineq._lemma2_within(slack, power, 1e-9)) for slack, power in zip(slacks, powers)]
+    failures = run_lemma2_trials(trials, max_dim_half, max_power, seed)["failures"]
+    assert 0 < failures < trials
+    assert failures == verdicts.count(False)
+
+
+@pytest.mark.parametrize("psi", [np.zeros(2), np.array([1e-3, 0.0]), np.array([1.0, 1e-5])])
+def test_lemma2_rejects_states_that_are_not_unit_vectors(psi):
+    # S = T = I gives 2^(M+1) on a unit state, above the bound; a shorter
+    # state would pass by shrinking the left-hand side
+    eye = np.eye(2, dtype=complex)
+    assert not verify_lemma2(ConstrainedPair(eye, eye), np.array([1.0, 0.0]), 3)
+    with pytest.raises(ValueError, match="state norm deviates from 1"):
+        verify_lemma2(ConstrainedPair(eye, eye), psi, 3)
+
+
+def test_lemma2_state_norm_check_names_the_failing_trial(monkeypatch):
+    # the first (dim_half, power) group draws trials 0, 24, 48, ... in turn
+    real = ineq.random_state
+    drawn = []
+
+    def scaled_second(dim, rng):
+        drawn.append(dim)
+        return real(dim, rng) * (1.001 if len(drawn) == 2 else 1.0)
+
+    monkeypatch.setattr(ineq, "random_state", scaled_second)
+    with pytest.raises(ValueError, match="trial 24: state norm deviates from 1 by 1.000e-03"):
+        run_lemma2_trials(100, max_dim_half=4, max_power=6, seed=42)
 
 
 def test_lemma2_tolerance_covers_the_rounding_of_r_star():
@@ -409,7 +446,7 @@ def test_lemma2_sweep_bounds():
 
 
 def test_lemma2_trials_stack_in_bounded_chunks(monkeypatch):
-    whole = lemma2_slacks(200, 5, 3, 7)
+    whole, powers = lemma2_slacks(200, 5, 3, 7)
     real = ineq.lemma2_lhs
     passes = []
 
@@ -419,7 +456,8 @@ def test_lemma2_trials_stack_in_bounded_chunks(monkeypatch):
 
     monkeypatch.setattr(ineq, "LEMMA2_STACK_ENTRIES", 64)
     monkeypatch.setattr(ineq, "lemma2_lhs", recorded)
-    assert np.array_equal(lemma2_slacks(200, 5, 3, 7), whole)
+    chunked, chunked_powers = lemma2_slacks(200, 5, 3, 7)
+    assert np.array_equal(chunked, whole) and np.array_equal(chunked_powers, powers)
     assert sum(size for size, _ in passes) == 200
     # one trial per pass once a single matrix holds more than the cap
     assert all(size == 1 or size * dim * dim <= 64 for size, dim in passes)
@@ -543,6 +581,15 @@ def test_converse_chain_negative_control(monkeypatch):
     monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
     assert not verify_converse_chain(s, [(0, 0)])
     assert not verify_converse_chain(s, list(all_questions(2)))
+    monkeypatch.undo()
+    # tol = 0 fails every strategy on rounding alone; a NaN tol, against which
+    # every comparison is False, must not pass them instead
+    for alpha in np.linspace(0.0, math.pi / 2, 5):
+        strategy = QuantumStrategy(2, float(alpha))
+        assert not verify_converse_chain(strategy, list(all_questions(2)), 0.0)
+        for tol in (math.nan, math.inf, -1e-9):
+            with pytest.raises(ValueError, match="tolerance"):
+                verify_converse_chain(strategy, list(all_questions(2)), tol)
 
 
 def _converse_chain_one_question(strategy, q, tol):

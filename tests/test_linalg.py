@@ -7,7 +7,7 @@ from hcgame.linalg import (
     RowError,
     apply_single_qubit,
     expectation,
-    is_hermitian,
+    hermitian_excess,
     is_reflection,
     matpow,
     real_part,
@@ -168,13 +168,16 @@ def test_matpow_additivity_on_contractions():
 def test_is_reflection():
     assert is_reflection(np.eye(2))
     assert not is_reflection(np.diag([1.0, 0.5]))
+    # squares to I but is not Hermitian; a NaN excess fails both checks
+    assert not is_reflection(np.array([[1.0, 1.0], [0.0, -1.0]]))
+    assert not is_reflection(np.full((2, 2), np.nan))
     for theta in (0.0, 0.3, math.pi / 2, 2.0):
         assert is_reflection(z_theta(theta))
 
 
 def test_is_hermitian():
-    assert is_hermitian(np.eye(3))
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert hermitian_excess(np.eye(3)) == 0.0
+    assert hermitian_excess(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
 
 
 def test_apply_single_qubit_matches_dense():

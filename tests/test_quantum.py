@@ -7,15 +7,12 @@ import pytest
 from hcgame import game, quantum
 from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
 from hcgame.linalg import apply_single_qubit, is_reflection
-from hcgame.cli import verify_quantum
 from hcgame.quantum import (
-    GHZ_MAX_QUBITS,
     QuantumStrategy,
     _win_table,
     average_win_analytic,
     ghz_state,
     maximize_r,
-    measurement_angle,
     outcome_distribution,
     outcome_probability,
     outcome_to_answer,
@@ -23,7 +20,6 @@ from hcgame.quantum import (
     quantum_value_bounds,
     quantum_value_excess,
     r_function,
-    r_function_scaled,
     winning_probability_operator,
     winning_probability_simulated,
 )
@@ -57,10 +53,13 @@ def test_z_theta_special_cases():
 
 
 def test_measurement_angles():
-    assert measurement_angle(1, 0, 0.3) == 0.0
-    assert measurement_angle(1, 1, 0.3) == pytest.approx(math.pi / 2)
-    assert measurement_angle(2, 0, 0.3) == pytest.approx(0.3)
-    assert measurement_angle(5, 1, 0.3) == pytest.approx(-0.3)
+    angle = QuantumStrategy(5, 0.3).angle
+    assert angle(1, 0) == 0.0
+    assert angle(1, 1) == pytest.approx(math.pi / 2)
+    assert angle(2, 0) == pytest.approx(0.3)
+    assert angle(5, 1) == pytest.approx(-0.3)
+    with pytest.raises(ValueError):
+        angle(2, 2)
     strategy = QuantumStrategy(3, 0.3)
     for player in (1, 2, 3):
         for bit in (0, 1):
@@ -71,6 +70,16 @@ def test_outcome_probability_z_basis():
     s = QuantumStrategy(2, 0.0)
     assert outcome_probability(s, (0, 0), (1, 1)) == pytest.approx(0.5, abs=1e-12)
     assert outcome_probability(s, (0, 0), (1, -1)) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "q, o",
+    [((0, 1, 1), (1, -1, 1)), ((1, 0), (2, 1)), ((1,), (1, 1)), ((0, 1), (1,)), ((0, 2), (1, 1))],
+)
+def test_outcome_probability_rejects_malformed_input(q, o):
+    # a question of m bits and m outcomes of +/-1, for m = 2
+    with pytest.raises(ValueError):
+        outcome_probability(QuantumStrategy(2, 0.7), q, o)
 
 
 def test_outcome_probabilities_normalized():
@@ -117,7 +126,7 @@ def test_outcome_to_answer_pins_only_special_vertices():
                     assert fa.value_at((0,) + tail) == o[i - 1]
                     assert fa.value_at((1,) + tail) == o[i - 1]
                     pinned = {(0,) + tail, (1,) + tail}
-                    for v in fa.vertices():
+                    for v in game.facet_vertices(m, i, q[i - 1]):
                         if v not in pinned:
                             assert fa.value_at(v) == 1
 
@@ -226,8 +235,8 @@ def test_r_function():
             assert r_function(theta, power) == pytest.approx(
                 r_function(math.pi / 2 - theta, power), rel=1e-12
             )
-    # log-domain branch agrees with the scaled form
-    assert r_function(0.3, 60) == pytest.approx(r_function_scaled(0.3, 60) * 2.0 ** 60, rel=1e-12)
+    # log-domain branch agrees with the closed form, which halves its bases
+    assert r_function(0.3, 60) == pytest.approx(2 * average_win_analytic(61, 0.3) * 2.0 ** 60, rel=1e-12)
     with pytest.raises(ValueError):
         r_function(0.1, 0)
 
@@ -311,16 +320,16 @@ def test_win_table_matches_predicate_of_each_outcome():
 
 
 def test_win_table_cache_holds_every_question_of_a_sweep():
-    # m = 9 has 512 questions; a cache that cycled through them would miss
-    # on every alpha instead of only the first
-    before = _win_table.cache_info()
-    report = verify_quantum([9], 2, 1e-9, 42)
-    after = _win_table.cache_info()
-    cross = report["checks"][0]
-    assert cross["name"] == "simulated_equals_operator" and float(cross["actual"]) <= 1e-9
-    assert after.misses - before.misses <= 512
-    assert after.hits - before.hits >= 512
-    assert after.maxsize >= 1 << GHZ_MAX_QUBITS
+    # the keys are (m, q) with m <= GHZ_MAX_QUBITS, so the cache is unbounded
+    # and never evicts a table a later alpha of the sweep needs
+    assert _win_table.cache_info().maxsize is None
+    # m = 9 tables against the operator identity, which does not use them
+    questions = [(0,) * 9, (1,) * 9, (1, 0, 1, 1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 1, 0, 0, 1, 1)]
+    for alpha in (0.0, 0.4, math.pi / 2):
+        s = QuantumStrategy(9, alpha)
+        sims = winning_probability_simulated(s, questions)
+        ops = winning_probability_operator(s, questions)
+        assert np.max(np.abs(sims - ops)) <= 1e-12, alpha
 
 
 def test_batched_simulation_equals_one_row_calls():
