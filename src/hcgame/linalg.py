@@ -8,6 +8,8 @@ single-qubit applications on statevectors and never materialises a full
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAX_MATRIX_DIM = 1 << 12
@@ -64,14 +66,22 @@ def check_rows(excess, atol: float, what: str) -> None:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with a size guard."""
-    a = as_operator(a)
-    b = as_operator(b)
-    entries = (a.shape[0] * b.shape[0]) ** 2
+    """Kronecker product with a size guard on the whole result.
+
+    ``a`` and ``b`` may also be two (K, d, d) stacks of one length; row k of
+    the result is then the product of row k of each, computed as for two
+    matrices.
+    """
+    a = _as_operators(a)
+    b = _as_operators(b)
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ValueError(f"need two matrices or two stacks of one length, got shapes {a.shape} and {b.shape}")
+    dim = a.shape[-1] * b.shape[-1]
+    entries = math.prod(a.shape[:-2]) * dim * dim
     if entries > MAX_TENSOR_ENTRIES:
         raise ValueError(f"tensor product would hold {entries} entries, cap is {MAX_TENSOR_ENTRIES}")
     # the same entrywise products as np.kron, without its generic-shape set-up
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], dim, dim)
 
 
 def real_part(values, atol: float = IMAG_RESIDUE_ATOL):

@@ -12,6 +12,7 @@ with +1.  Averaged over questions the strategy wins with probability
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -59,8 +60,8 @@ class QuantumStrategy:
     alpha: float
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"need at least two players, got {self.m}")
+        if not isinstance(self.m, numbers.Integral) or self.m < 2:
+            raise ValueError(f"need an integer count of at least two players, got {self.m!r}")
         if not 0.0 <= self.alpha <= math.pi / 2.0 + 1e-12:
             raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
 

@@ -511,6 +511,10 @@ def parser_argv(draw):
     return command, argv
 
 
+# one parser for every example: parse_args leaves it as it was
+PARSER = build_parser()
+
+
 @settings(max_examples=300, deadline=None)
 @given(parser_argv())
 def test_parser_accepts_only_documented_bounds(case):
@@ -519,7 +523,7 @@ def test_parser_accepts_only_documented_bounds(case):
     stderr = io.StringIO()
     try:
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-            args = build_parser().parse_args(argv)
+            args = PARSER.parse_args(argv)
     except SystemExit as exc:
         assert exc.code == 2, argv
         assert "usage:" in stderr.getvalue()

@@ -133,6 +133,55 @@ def test_build_S_T_constraint_and_chsh_value():
     assert expectation(pair.s + pair.t, ghz_state(2)) == pytest.approx(SQRT2, abs=1e-10)
 
 
+def test_stacked_S_T_rows_equal_the_single_pair_bitwise():
+    # every strategy of the default converse sweep, one row per question
+    for m in (2, 3, 4, 5):
+        rows = 1 << m
+        for alpha in np.linspace(0.0, math.pi / 2.0, 16):
+            s = QuantumStrategy(m, float(alpha))
+            for i in range(2, m + 1):
+                single = build_S_T(s, i)
+                stacked = build_S_T(s, i, rows)
+                assert stacked.s.shape == stacked.t.shape == (rows, 4, 4)
+                assert stacked.constraint_residual().shape == (rows,)
+                for k in range(rows):
+                    assert np.array_equal(stacked.s[k], single.s)
+                    assert np.array_equal(stacked.t[k], single.t)
+                    assert np.array_equal(stacked.constraint_residual()[k], single.constraint_residual())
+
+
+def test_build_S_T_rejects_a_partner_that_is_not_an_integer_in_range():
+    s = QuantumStrategy(3, 0.3)
+    for i in (1, 4, 2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="second player index"):
+            build_S_T(s, i)
+    assert np.array_equal(build_S_T(s, np.int64(3)).s, build_S_T(s, 3).s)
+
+
+@pytest.mark.parametrize("row", [0, 6, 15])
+def test_stacked_build_names_the_row_with_a_tampered_edge(monkeypatch, row):
+    s = QuantumStrategy(4, 0.5)
+    real = ineq.induced_edge_observable
+    lookups = {}
+
+    def tampered(strategy, owner, q1, qi):
+        # each row looks O(0,0,1) up once, so its k-th lookup is row k's
+        edge = real(strategy, owner, q1, qi)
+        key = (owner, q1, qi)
+        lookups[key] = lookups.get(key, 0) + 1
+        if key == (1, 0, 0) and lookups[key] == row + 1:
+            return edge + 0.1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        return edge
+
+    monkeypatch.setattr(ineq, "induced_edge_observable", tampered)
+    with pytest.raises(RowError, match="S deviates from Hermitian") as err:
+        build_S_T(s, 3, 16)
+    assert err.value.row == row
+    lookups.clear()
+    monkeypatch.undo()
+    build_S_T(s, 3, 16)
+
+
 def test_S_and_T_families_commute():
     m = 4
     s = QuantumStrategy(m, 0.8)
@@ -590,6 +639,21 @@ def test_converse_chain_negative_control(monkeypatch):
         for tol in (math.nan, math.inf, -1e-9):
             with pytest.raises(ValueError, match="tolerance"):
                 verify_converse_chain(strategy, list(all_questions(2)), tol)
+
+
+def test_converse_chain_makes_the_pinned_edge_lookups(monkeypatch):
+    # the benchmark pins the edge lookups of the chain: per question and
+    # partner, 2 for the bound, 4 for the identities and 4 for the pair
+    real = ineq.induced_edge_observable
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ineq, "induced_edge_observable", counted)
+    assert verify_converse_chain(QuantumStrategy(4, 0.7), list(all_questions(4)))
+    assert len(calls) == 16 * 3 * (2 + 4 + 4) == 480
 
 
 def _converse_chain_one_question(strategy, q, tol):

@@ -37,6 +37,36 @@ def test_tensor_cap():
     big = np.eye(1 << 11)
     with pytest.raises(ValueError):
         tensor(big, np.eye(4))
+    # on stacks the cap counts every row: 2^20 entries per row, 17 rows
+    # (broadcast views, so the operands take no memory per row)
+    rows = np.broadcast_to(np.eye(32, dtype=complex), (17, 32, 32))
+    with pytest.raises(ValueError, match="entries"):
+        tensor(rows, rows)
+
+
+def test_tensor_of_stacks_equals_tensor_of_each_row():
+    rng = np.random.default_rng(3)
+    for k, da, db in ((1, 2, 2), (5, 2, 2), (3, 2, 4), (2, 3, 1)):
+        a = rng.standard_normal((k, da, da)) + 1j * rng.standard_normal((k, da, da))
+        b = rng.standard_normal((k, db, db)) + 1j * rng.standard_normal((k, db, db))
+        stacked = tensor(a, b)
+        assert stacked.shape == (k, da * db, da * db)
+        for row, (x, y) in enumerate(zip(a, b)):
+            assert np.array_equal(stacked[row], tensor(x, y))
+            assert np.array_equal(stacked[row], np.kron(x, y))
+
+
+def test_tensor_needs_two_matrices_or_two_stacks_of_one_length():
+    for a, b in (
+        (np.zeros((3, 2, 2)), np.zeros((2, 2, 2))),
+        (np.zeros((3, 2, 2)), np.eye(2)),
+        (np.eye(2), np.zeros((1, 2, 2))),
+        (np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
+        (np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 2, 2))),
+        (np.zeros((2, 2, 3)), np.zeros((2, 2, 2))),
+    ):
+        with pytest.raises(ValueError):
+            tensor(a, b)
 
 
 def test_expectation_basic():

@@ -306,6 +306,10 @@ def test_strategy_validation():
         QuantumStrategy(1, 0.0)
     with pytest.raises(ValueError):
         QuantumStrategy(3, 2.0)
+    for m in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            QuantumStrategy(m, 0.1)
+    assert QuantumStrategy(np.int64(3), 0.1) == QuantumStrategy(3, 0.1)
 
 
 def test_win_table_matches_predicate_of_each_outcome():
