@@ -53,8 +53,13 @@ def _frac(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def _alpha_grid(samples: int) -> np.ndarray:
-    return np.linspace(0.0, math.pi / 2.0, samples)
+def _strategy_chunks(m: int, alpha_samples: int, questions):
+    """The GHZ strategies of an alpha sweep for m, as lists small enough that
+    a kernel's stack, one row of 2^m amplitudes per (strategy, question),
+    stays within linalg.STACK_ENTRIES."""
+    grid = np.linspace(0.0, math.pi / 2.0, alpha_samples)
+    for alphas in linalg.stack_chunks(grid, len(questions) << m):
+        yield [QuantumStrategy(m, float(alpha)) for alpha in alphas]
 
 
 def value_row(m: int) -> dict:
@@ -135,22 +140,20 @@ def verify_classical(m: int, seed: int) -> dict:
 
 
 def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
-    grid = _alpha_grid(alpha_samples)
-
     def worst_for_m(m: int) -> tuple[float, float]:
         cross = 0.0
         analytic = 0.0
         questions = list(all_questions(m))
-        for alpha in grid:
-            strategy = QuantumStrategy(m, float(alpha))
-            sims = quantum.winning_probability_simulated(strategy, questions).tolist()
-            ops = quantum.winning_probability_operator(strategy, questions).tolist()
-            total = 0.0
-            # summed in question order, one alpha at a time, as the report's digits depend on it
-            for sim, op in zip(sims, ops):
-                cross = max(cross, abs(sim - op))
-                total += sim
-            analytic = max(analytic, abs(total / 2 ** m - average_win_analytic(m, float(alpha))))
+        for strategies in _strategy_chunks(m, alpha_samples, questions):
+            sims = quantum.winning_probability_simulated(strategies, questions).tolist()
+            ops = quantum.winning_probability_operator(strategies, questions).tolist()
+            for strategy, sim_row, op_row in zip(strategies, sims, ops):
+                total = 0.0
+                # summed in question order, one alpha at a time, as the report's digits depend on it
+                for sim, op in zip(sim_row, op_row):
+                    cross = max(cross, abs(sim - op))
+                    total += sim
+                analytic = max(analytic, abs(total / 2 ** m - average_win_analytic(m, strategy.alpha)))
         return cross, analytic
 
     results = [worst_for_m(m) for m in m_values]
@@ -227,12 +230,11 @@ def verify_lemma3(m_max: int, seed: int) -> dict:
 
 
 def verify_converse(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
-    grid = _alpha_grid(alpha_samples)
-
     def all_ok(m: int) -> bool:
         questions = list(all_questions(m))
         return all(
-            inequalities.verify_converse_chain(QuantumStrategy(m, float(alpha)), questions, tol) for alpha in grid
+            inequalities.verify_converse_chain(strategies, questions, tol)
+            for strategies in _strategy_chunks(m, alpha_samples, questions)
         )
 
     holds = all(all_ok(m) for m in m_values)

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import game, quantum
-from .linalg import RowError, check_rows, expectation, hermitian_excess, is_reflection, matpow, tensor
+from .linalg import RowError, check_rows, expectation, hermitian_excess, is_reflection, matpow, stack_chunks, tensor
 from .quantum import QuantumStrategy, maximize_r, r_excess_scaled
 
 CONSTRAINT_ATOL = 1e-9
@@ -30,9 +30,6 @@ IDENTITY_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-12
 # 4m edges per strategy; room for every strategy of a default converse sweep
 EDGE_CACHE_SIZE = 1024
-# a stacked lemma-2 pass takes as many trials as keep each (K, d, d) stack
-# at about this many entries (1 MB of complex doubles)
-LEMMA2_STACK_ENTRIES = 1 << 16
 # r* is about 2^M, and above M = 50 r_function rounds it within a few dozen
 # ulps; the lemma-2 comparison allows this share of 2^M when it exceeds tol
 LEMMA2_RELATIVE_ATOL = 2.0**-40
@@ -228,44 +225,54 @@ def verify_lemma3(power: int) -> bool:
     return lower <= excess <= 8.0 * lower
 
 
-def relaxed_win_bound(strategy: QuantumStrategy, questions) -> np.ndarray:
+def relaxed_win_bound(strategies, questions) -> np.ndarray:
     """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state for
     each of N questions: the product-consistency upper bound on the winning
-    probability."""
-    m = strategy.m
+    probability.  (N,) for one strategy; (A, N) for a sequence of strategies
+    of one m, from one statevector stack with a row per (strategy, question)."""
+    group = quantum._strategy_list(strategies)
+    m = group[0].m
     rows = quantum._question_rows(m, questions).tolist()
-    bits = [[(q[0], q[i]) for q in rows] for i in range(1, m)]
-    pairs = ((_edge_stack(strategy, 1, b), _edge_stack(strategy, i, b)) for i, b in enumerate(bits, start=2))
-    return quantum.pair_products(m, len(rows), pairs)
+
+    def edges(owner: int, i: int) -> np.ndarray:
+        bits = [(q[0], q[i - 1]) for q in rows]
+        return np.concatenate([_edge_stack(strategy, owner, bits) for strategy in group])
+
+    pairs = ((edges(1, i), edges(i, i)) for i in range(2, m + 1))
+    bounds = quantum.pair_products(m, len(group) * len(rows), pairs)
+    return quantum._per_strategy(strategies, bounds.reshape(len(group), len(rows)))
 
 
-def verify_converse_chain(strategy: QuantumStrategy, questions, tol: float = IDENTITY_ATOL) -> bool:
-    """Checks, for every question: the simulated winning probability never
-    exceeds the relaxation bound; the two parity identities
+def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> bool:
+    """Checks, for every strategy (one, or a sequence of strategies of one m)
+    and every question: the simulated winning probability never exceeds the
+    relaxation bound; the two parity identities
     O(q1,qi,1) = (-1)^q1 O(q1,1-qi,1) and O(q1,qi,i) = O(1-q1,qi,i); and
     S^2 + T^2 = I for every pairing.  True when all of them hold."""
-    m = strategy.m
+    group = quantum._strategy_list(strategies)
+    m = group[0].m
     if not math.isfinite(tol) or tol < 0.0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     if m > 6:
         raise ValueError("chain verification is exposed for m <= 6")
     rows = quantum._question_rows(m, questions)
-    p_sim = quantum.winning_probability_simulated(strategy, rows)
-    if np.any(p_sim > relaxed_win_bound(strategy, rows) + tol):
+    p_sim = quantum.winning_probability_simulated(group, rows)
+    if np.any(p_sim > relaxed_win_bound(group, rows) + tol):
         return False
     sign = np.where(rows[:, 0], -1.0, 1.0)[:, None, None]
     questions = rows.tolist()
     for i in range(2, m + 1):
         bits = [(q[0], q[i - 1]) for q in questions]
-        first = _edge_stack(strategy, 1, bits) - sign * _edge_stack(strategy, 1, [(q1, 1 - qi) for q1, qi in bits])
-        other = _edge_stack(strategy, i, bits) - _edge_stack(strategy, i, [(1 - q1, qi) for q1, qi in bits])
-        if np.max(np.abs(first)) > tol or np.max(np.abs(other)) > tol:
-            return False
-        # S and T depend on (strategy, i) alone, yet the stack holds one row per
-        # question: the benchmark pins the edge-observable call count this gives,
-        # so one pair per (strategy, i) waits until the benchmark is re-pinned
-        if np.any(build_S_T(strategy, i, len(questions)).constraint_residual() > tol):
-            return False
+        for strategy in group:
+            first = _edge_stack(strategy, 1, bits) - sign * _edge_stack(strategy, 1, [(q1, 1 - qi) for q1, qi in bits])
+            other = _edge_stack(strategy, i, bits) - _edge_stack(strategy, i, [(1 - q1, qi) for q1, qi in bits])
+            if np.max(np.abs(first)) > tol or np.max(np.abs(other)) > tol:
+                return False
+            # S and T depend on (strategy, i) alone, yet the stack holds one row per
+            # question: the benchmark pins the edge-observable call count this gives,
+            # so one pair per (strategy, i) waits until the benchmark is re-pinned
+            if np.any(build_S_T(strategy, i, len(questions)).constraint_residual() > tol):
+                return False
     return True
 
 
@@ -311,9 +318,7 @@ def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> 
         dim_half, power = 1 + first % max_dim_half, 1 + first // max_dim_half
         group = range(first, trials, period)
         powers[group] = power
-        chunk = max(1, LEMMA2_STACK_ENTRIES // (2 * dim_half) ** 2)
-        for start in range(0, len(group), chunk):
-            ids = group[start : start + chunk]
+        for ids in stack_chunks(group, (2 * dim_half) ** 2):
             psis = np.array([random_state(2 * dim_half, np.random.default_rng((seed + t, 1))) for t in ids])
             try:
                 pairs = random_constrained_pairs(dim_half, [seed + t for t in ids])

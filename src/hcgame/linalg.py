@@ -9,13 +9,19 @@ single-qubit applications on statevectors and never materialises a full
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 MAX_MATRIX_DIM = 1 << 12
 MAX_TENSOR_ENTRIES = 1 << 24
-MAX_STATE_AMPLITUDES = 1 << 24
+# all amplitudes of a state or of a stack of states (64 MB of complex doubles)
+MAX_STATE_AMPLITUDES = 1 << 22
 MAX_MATRIX_POWER = 64
+# a stacked pass takes as many items (lemma-2 trials, GHZ strategies of an
+# alpha sweep) as keep its stack at about this many entries (1 MB of complex
+# doubles)
+STACK_ENTRIES = 1 << 16
 
 OPERATOR_ATOL = 1e-9
 REFLECTION_ATOL = 1e-9
@@ -140,31 +146,58 @@ def is_reflection(matrix) -> bool:
     return bool(hermitian_excess(arr) <= REFLECTION_ATOL and square_excess <= REFLECTION_ATOL)
 
 
+def stack_chunks(items, entries_per_item: int) -> list:
+    """``items`` as consecutive slices, each of as many items as keep a stack
+    of ``entries_per_item`` entries per item within STACK_ENTRIES, and at
+    least one item."""
+    size = max(1, STACK_ENTRIES // entries_per_item)
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+def _check_amplitudes(count: int) -> None:
+    if count > MAX_STATE_AMPLITUDES:
+        raise ValueError(f"{count} amplitudes in all exceed cap {MAX_STATE_AMPLITUDES}")
+
+
+def tile_state(psi, rows: int) -> np.ndarray:
+    """``rows`` copies of one state as a (rows, 2^n) stack, under the same cap
+    on all its amplitudes as :func:`apply_single_qubit`."""
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    _check_amplitudes(rows * vec.size)
+    return np.tile(vec, (rows, 1))
+
+
 def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     """Apply a 2x2 operator to one qubit of a statevector (qubit 0 is the
     most significant bit of the amplitude index).
 
     ``psi`` may also be an (N, 2^n) stack of states, one per row; ``gate``
     is then either one 2x2 operator for every row or an (N, 2, 2) stack
-    with one operator per row.
+    with one operator per row.  The cap on amplitudes counts the whole stack.
     """
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim not in (1, 2) or vec.size == 0:
         raise ValueError(f"expected a state or a non-empty stack of states, got shape {vec.shape}")
+    _check_amplitudes(vec.size)
     length = vec.shape[-1]
-    if length > MAX_STATE_AMPLITUDES:
-        raise ValueError(f"state of {length} amplitudes exceeds cap {MAX_STATE_AMPLITUDES}")
     n = length.bit_length() - 1
     if length != 1 << n or length < 2:
         raise ValueError(f"state length {length} is not a power of two")
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    if not isinstance(qubit, numbers.Integral) or not 0 <= qubit < n:
+        raise ValueError(f"qubit must be an integer in [0, {n}) for {n} qubits, got {qubit!r}")
     g = np.asarray(gate, dtype=complex)
-    # index bits above the qubit form a batch axis, those below the columns
-    columns = 1 << (n - 1 - qubit)
-    if g.shape == (2, 2):
-        return np.matmul(g, vec.reshape(-1, 2, columns)).reshape(vec.shape)
     if vec.ndim == 2 and g.shape == (vec.shape[0], 2, 2):
-        out = np.matmul(g[:, None], vec.reshape(vec.shape[0], -1, 2, columns))
-        return out.reshape(vec.shape)
-    raise ValueError(f"expected a 2x2 gate or one per state, got shape {g.shape}")
+        # entry (i, j) of every row's gate as an (N, 1, 1) column
+        g = g.transpose(1, 2, 0)[..., None, None]
+    elif g.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 gate or one per state, got shape {g.shape}")
+    # index bits above the qubit form a batch axis, those below the columns
+    view = vec.reshape(*vec.shape[:-1], -1, 2, 1 << (n - 1 - qubit))
+    v0, v1 = view[..., 0, :], view[..., 1, :]
+    out = np.empty_like(view)
+    for row in (0, 1):
+        # g[row, 0] v0 + g[row, 1] v1, written straight into the output
+        half = out[..., row, :]
+        np.multiply(g[row, 0], v0, out=half)
+        half += g[row, 1] * v1
+    return out.reshape(vec.shape)

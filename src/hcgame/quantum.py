@@ -21,7 +21,7 @@ import numpy as np
 
 from . import game
 from .game import Answer, Bits, FacetAssignment
-from .linalg import OVERLAP_IMAG_ATOL, apply_single_qubit, real_part
+from .linalg import OVERLAP_IMAG_ATOL, apply_single_qubit, real_part, tile_state
 
 GHZ_MAX_QUBITS = 12
 GRID_POINTS = 4096
@@ -117,27 +117,47 @@ def _basis_entries(theta: float) -> list[list[float]]:
     return [[c, s], [-s, c]]
 
 
-def _player_gates(strategy: QuantumStrategy, player: int, rows: np.ndarray, entries) -> np.ndarray:
-    """entries(angle) at the player's measurement angle for each row's question
-    bit, as an (N, 2, 2) stack."""
-    pair = [entries(strategy.angle(player, bit)) for bit in (0, 1)]
-    return np.array(pair, dtype=complex)[rows[:, player - 1]]
+def _strategy_list(strategies) -> list[QuantumStrategy]:
+    """One strategy as a list of one, or a non-empty sequence of strategies
+    that share one m as a list."""
+    if isinstance(strategies, QuantumStrategy):
+        return [strategies]
+    group = list(strategies)
+    if not group or not all(isinstance(s, QuantumStrategy) and s.m == group[0].m for s in group):
+        raise ValueError("expected a strategy or a non-empty sequence of strategies of one m")
+    return group
 
 
-def outcome_distribution(strategy: QuantumStrategy, questions) -> np.ndarray:
-    """All 2^m outcome probabilities for each of N questions, as an (N, 2^m) array.
+def _per_strategy(strategies, values: np.ndarray) -> np.ndarray:
+    """(A, N, ...) results as given for a sequence of strategies, or the one
+    row of a single strategy."""
+    return values[0] if isinstance(strategies, QuantumStrategy) else values
+
+
+def _player_gates(strategies: list[QuantumStrategy], player: int, rows: np.ndarray, entries) -> np.ndarray:
+    """entries(angle) at the player's measurement angle for each (strategy,
+    question) row, strategy-major, as an (A N, 2, 2) stack."""
+    tables = np.array([[entries(s.angle(player, bit)) for bit in (0, 1)] for s in strategies], dtype=complex)
+    return tables[:, rows[:, player - 1]].reshape(-1, 2, 2)
+
+
+def outcome_distribution(strategies, questions) -> np.ndarray:
+    """All 2^m outcome probabilities for each of N questions, as an (N, 2^m)
+    array; for a sequence of A strategies of one m, an (A, N, 2^m) array from
+    one statevector stack with a row per (strategy, question).
 
     Each qubit is rotated into the eigenbasis of its observable, so index
     bit k = 0 corresponds to outcome +1 for player k+1 (big-endian, same
     convention as vertex encodings).
     """
-    m = strategy.m
+    group = _strategy_list(strategies)
+    m = group[0].m
     rows = _question_rows(m, questions)
-    psi = np.tile(ghz_state(m), (rows.shape[0], 1))
+    psi = tile_state(ghz_state(m), len(group) * rows.shape[0])
     for player in range(1, m + 1):
-        gates = _player_gates(strategy, player, rows, _basis_entries)
+        gates = _player_gates(group, player, rows, _basis_entries)
         psi = apply_single_qubit(psi, gates, player - 1)
-    return np.abs(psi) ** 2
+    return _per_strategy(strategies, (np.abs(psi) ** 2).reshape(len(group), rows.shape[0], -1))
 
 
 def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
@@ -180,12 +200,16 @@ def _win_table(m: int, q: Bits) -> np.ndarray:
     return table
 
 
-def winning_probability_simulated(strategy: QuantumStrategy, questions) -> np.ndarray:
+def winning_probability_simulated(strategies, questions) -> np.ndarray:
     """Per question, the sum over outcome tuples of outcome probability times
-    the game predicate."""
-    rows = _question_rows(strategy.m, questions)
-    dists = outcome_distribution(strategy, rows)
-    return np.array([float(dist @ _win_table(strategy.m, tuple(q))) for dist, q in zip(dists, rows.tolist())])
+    the game predicate: (N,) for one strategy, (A, N) for a sequence."""
+    group = _strategy_list(strategies)
+    m = group[0].m
+    rows = _question_rows(m, questions)
+    dists = outcome_distribution(group, rows)
+    tables = np.array([_win_table(m, tuple(q)) for q in rows.tolist()], dtype=float)
+    # a (1, 2^m) by (2^m, 1) product per row: the same dot as dist @ table
+    return _per_strategy(strategies, (dists[:, :, None, :] @ tables[:, :, None])[..., 0, 0])
 
 
 def pair_products(m: int, n: int, pairs) -> np.ndarray:
@@ -193,24 +217,30 @@ def pair_products(m: int, n: int, pairs) -> np.ndarray:
     of n rows, one statevector row each.  ``pairs`` yields (A_i, B_i) for
     i = 2..m in turn: (n, 2, 2) stacks acting on qubit 1 and on qubit i."""
     psi = ghz_state(m)
-    acc = np.tile(psi, (n, 1))
+    acc = tile_state(psi, n)
     for i, (first, other) in enumerate(pairs, start=2):
         tmp = apply_single_qubit(acc, first, 0)
         tmp = apply_single_qubit(tmp, other, i - 1)
-        acc = (acc + tmp) / 2.0
-    return real_part([np.vdot(psi, row) for row in acc], OVERLAP_IMAG_ATOL)
+        # (acc + tmp) / 2 in tmp's memory, so no third stack is allocated
+        tmp += acc
+        tmp /= 2.0
+        acc = tmp
+    # a (1, 2^m) by (2^m, 1) product per row: the same dot as np.vdot(psi, row)
+    return real_part((psi.conj() @ acc[:, :, None])[:, 0], OVERLAP_IMAG_ATOL)
 
 
-def winning_probability_operator(strategy: QuantumStrategy, questions) -> np.ndarray:
+def winning_probability_operator(strategies, questions) -> np.ndarray:
     """The same probabilities through the product-operator identity
     <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
-    m = strategy.m
+    group = _strategy_list(strategies)
+    m = group[0].m
     rows = _question_rows(m, questions)
-    first = _player_gates(strategy, 1, rows, _z_entries)
+    first = _player_gates(group, 1, rows, _z_entries)
     # the sign goes into player i's gates: negating a gate negates its product exactly
-    signs = np.where(rows[:, :1] & rows, -1.0, 1.0)[:, :, None, None]
-    pairs = ((first, signs[:, i - 1] * _player_gates(strategy, i, rows, _z_entries)) for i in range(2, m + 1))
-    return pair_products(m, rows.shape[0], pairs)
+    signs = np.tile(np.where(rows[:, :1] & rows, -1.0, 1.0), (len(group), 1))[:, :, None, None]
+    pairs = ((first, signs[:, i - 1] * _player_gates(group, i, rows, _z_entries)) for i in range(2, m + 1))
+    products = pair_products(m, len(group) * rows.shape[0], pairs)
+    return _per_strategy(strategies, products.reshape(len(group), rows.shape[0]))
 
 
 def average_win_analytic(m: int, alpha: float) -> float:

@@ -8,6 +8,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -423,6 +424,28 @@ def test_verify_calls_the_quantum_and_converse_kernels(capsys, monkeypatch):
         code, _ = run_cli(capsys, "verify", suite, "--m", "2", "--alpha-samples", "1")
         assert code == 0
     assert min(calls.values()) >= 1, calls
+
+
+def test_sweeps_check_every_alpha_in_bounded_stacks(capsys, monkeypatch):
+    # together the kernel calls of a sweep take the whole alpha grid in order,
+    # each call one stack within linalg.STACK_ENTRIES amplitudes
+    seen = []
+
+    def recorded(fn):
+        def wrapper(strategies, questions, *rest):
+            seen.append(([s.alpha for s in strategies], len(questions)))
+            return fn(strategies, questions, *rest)
+
+        return wrapper
+
+    monkeypatch.setattr(quantum, "winning_probability_operator", recorded(quantum.winning_probability_operator))
+    monkeypatch.setattr(inequalities, "verify_converse_chain", recorded(lambda *args: True))
+    for suite, m, samples, stacks in (("quantum", 6, 40, 3), ("converse", 5, 70, 2)):
+        seen.clear()
+        run_cli(capsys, "verify", suite, "--m", str(m), "--alpha-samples", str(samples))
+        assert len(seen) == stacks
+        assert [alpha for alphas, _ in seen for alpha in alphas] == np.linspace(0.0, math.pi / 2, samples).tolist()
+        assert all(len(alphas) * questions << m <= linalg.STACK_ENTRIES for alphas, questions in seen)
 
 
 def test_chsh_mismatch_fails_its_report_and_verify_all(capsys, monkeypatch):

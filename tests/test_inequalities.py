@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hcgame.inequalities as ineq
-from hcgame import game, quantum
+from hcgame import game, linalg, quantum
 from hcgame.game import all_questions
 from hcgame.inequalities import (
     ConstrainedPair,
@@ -503,7 +503,7 @@ def test_lemma2_trials_stack_in_bounded_chunks(monkeypatch):
         passes.append((len(psis), pairs.dim))
         return real(pairs, psis, power)
 
-    monkeypatch.setattr(ineq, "LEMMA2_STACK_ENTRIES", 64)
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 64)
     monkeypatch.setattr(ineq, "lemma2_lhs", recorded)
     chunked, chunked_powers = lemma2_slacks(200, 5, 3, 7)
     assert np.array_equal(chunked, whole) and np.array_equal(chunked_powers, powers)
@@ -676,20 +676,47 @@ def _converse_chain_one_question(strategy, q, tol):
 
 def test_converse_chains_give_the_verdict_of_one_row_calls():
     verdicts = set()
+    list_verdicts = set()
     for m in (2, 3, 4, 5):
         questions = list(all_questions(m))
-        for alpha in (0.0, 0.4, math.pi / 4, math.pi / 2):
-            s = QuantumStrategy(m, alpha)
-            # below 1e-15 the rounding of the bound and of S^2 + T^2 decides,
-            # so some strategies fail on some questions
-            for tol in (1e-10, 1.2e-16, 1e-16, 0.0):
+        strategies = [QuantumStrategy(m, alpha) for alpha in (0.0, 0.4, math.pi / 4, math.pi / 2)]
+        # below 1e-15 the rounding of the bound and of S^2 + T^2 decides,
+        # so some strategies fail on some questions
+        for tol in (1e-10, 1.2e-16, 1e-16, 0.0):
+            singles = []
+            for s in strategies:
                 verdict = verify_converse_chain(s, questions, tol)
                 assert verdict == all(verify_converse_chain(s, [q], tol) for q in questions)
                 assert verdict == all(_converse_chain_one_question(s, q, tol) for q in questions)
-                verdicts.add(verdict)
-    assert verdicts == {True, False}
+                singles.append(verdict)
+            verdicts.update(singles)
+            # a list of strategies passes when every one of them does
+            stacked = verify_converse_chain(strategies, questions, tol)
+            assert stacked == all(singles)
+            list_verdicts.add(stacked)
+    assert verdicts == list_verdicts == {True, False}
     with pytest.raises(ValueError):
         verify_converse_chain(QuantumStrategy(7, 0.3), [(0,) * 7])
+    with pytest.raises(ValueError, match="strategies"):
+        verify_converse_chain([QuantumStrategy(3, 0.1), QuantumStrategy(4, 0.1)], [(0, 0, 0)])
+
+
+def test_converse_chain_on_a_list_fails_when_one_strategy_fails(monkeypatch):
+    strategies = [QuantumStrategy(3, float(alpha)) for alpha in np.linspace(0.0, math.pi / 2, 7)]
+    questions = list(all_questions(3))
+    assert verify_converse_chain(strategies, questions)
+    real = ineq.induced_edge_observable
+    for bad in (0, 3, 6):
+
+        def perturbed(strategy, owner, q1, qi):
+            edge = real(strategy, owner, q1, qi)
+            # breaks the identity O(0,1,1) = O(0,0,1), not the S/T constraint
+            return edge + 1e-6 * np.eye(2) if strategy == strategies[bad] and (owner, q1, qi) == (1, 0, 1) else edge
+
+        monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
+        assert [verify_converse_chain(s, questions) for s in strategies] == [k != bad for k in range(7)]
+        assert not verify_converse_chain(strategies, questions)
+        monkeypatch.undo()
 
 
 def _relaxed_win_bound_one_state(strategy, q):
@@ -706,10 +733,13 @@ def _relaxed_win_bound_one_state(strategy, q):
 def test_relaxed_win_bounds_match_one_row_calls():
     for m in (2, 3, 4, 5):
         questions = list(all_questions(m))
-        for alpha in (0.0, 0.3, math.pi / 3):
-            s = QuantumStrategy(m, alpha)
+        strategies = [QuantumStrategy(m, alpha) for alpha in (0.0, 0.3, math.pi / 3)]
+        stacked = relaxed_win_bound(strategies, questions)
+        assert stacked.shape == (len(strategies), len(questions))
+        for s, row in zip(strategies, stacked):
             bounds = relaxed_win_bound(s, questions)
             assert bounds.shape == (len(questions),)
+            assert np.array_equal(row, bounds)
             for bound, q in zip(bounds, questions):
                 assert abs(bound - relaxed_win_bound(s, [q])[0]) <= 1e-15
                 assert abs(bound - _relaxed_win_bound_one_state(s, q)) <= 1e-15

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hcgame import linalg
 from hcgame.linalg import (
+    MAX_STATE_AMPLITUDES,
     RowError,
     apply_single_qubit,
     expectation,
@@ -11,7 +13,9 @@ from hcgame.linalg import (
     is_reflection,
     matpow,
     real_part,
+    stack_chunks,
     tensor,
+    tile_state,
 )
 from hcgame.quantum import ghz_state, z_theta
 
@@ -210,6 +214,11 @@ def test_is_hermitian():
     assert hermitian_excess(np.array([[0.0, 1.0], [0.0, 0.0]])) == 1.0
 
 
+def _dense_single_qubit(gate, qubit, n):
+    # (I x ... x G x ... x I) with G on the qubit-th factor, qubit 0 leftmost
+    return np.kron(np.kron(np.eye(1 << qubit), gate), np.eye(1 << (n - qubit - 1)))
+
+
 def test_apply_single_qubit_matches_dense():
     rng = np.random.default_rng(5)
     # a reflection, a non-unitary projector and a generic complex matrix
@@ -218,19 +227,43 @@ def test_apply_single_qubit_matches_dense():
         (np.eye(2) - z_theta(1.1)) / 2.0,
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
     )
-    for n in range(1, 6):
+    rows = 4
+    for n in range(1, 8):
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         psi /= np.linalg.norm(psi)
-        for g in gates:
-            for qubit in range(n):
-                dense = np.kron(np.kron(np.eye(1 << qubit), g), np.eye(1 << (n - qubit - 1)))
+        stack = rng.standard_normal((rows, 1 << n)) + 1j * rng.standard_normal((rows, 1 << n))
+        per_row = rng.standard_normal((rows, 2, 2)) + 1j * rng.standard_normal((rows, 2, 2))
+        for qubit in range(n):
+            for g in gates:
+                dense = _dense_single_qubit(g, qubit, n)
                 assert np.allclose(apply_single_qubit(psi, g, qubit), dense @ psi, atol=1e-12)
+                assert np.allclose(apply_single_qubit(stack, g, qubit), stack @ dense.T, atol=1e-12)
+            out = apply_single_qubit(stack, per_row, qubit)
+            for k in range(rows):
+                assert np.allclose(out[k], _dense_single_qubit(per_row[k], qubit, n) @ stack[k], atol=1e-12)
         with pytest.raises(ValueError):
             apply_single_qubit(psi, gates[0], n)
+    # a qubit out of range or not an integer
+    for qubit in (1.5, 1.0, "1", None, -1, 7):
+        with pytest.raises(ValueError, match="qubit"):
+            apply_single_qubit(psi, gates[0], qubit)
+    assert np.array_equal(apply_single_qubit(psi, gates[0], np.int64(1)), apply_single_qubit(psi, gates[0], 1))
     with pytest.raises(ValueError):
         apply_single_qubit(psi, np.eye(3), 0)
     with pytest.raises(ValueError, match="not a power of two"):
         apply_single_qubit(np.zeros(6), gates[0], 0)
+
+
+def test_apply_single_qubit_caps_the_whole_stack():
+    # each row is small; the cap counts every amplitude of the stack
+    row = 1 << 12
+    rows = MAX_STATE_AMPLITUDES // row
+    stack = np.broadcast_to(np.zeros(row, dtype=complex), (rows + 1, row))
+    with pytest.raises(ValueError, match="amplitudes"):
+        apply_single_qubit(stack, z_theta(0.3), 0)
+    with pytest.raises(ValueError, match="amplitudes"):
+        tile_state(ghz_state(12), rows + 1)
+    assert tile_state(ghz_state(2), 3).shape == (3, 4)
 
 
 def test_apply_single_qubit_on_a_stack_equals_row_by_row():
@@ -257,3 +290,14 @@ def test_apply_single_qubit_on_a_stack_equals_row_by_row():
         apply_single_qubit(np.zeros((0, 4)), shared, 0)
     with pytest.raises(ValueError):
         apply_single_qubit(np.zeros((2, 2, 4)), shared, 0)
+
+
+def test_stack_chunks_keep_each_stack_within_the_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 100)
+    items = list(range(23))
+    chunks = stack_chunks(items, 10)
+    assert chunks == [items[:10], items[10:20], items[20:]]
+    # one item per chunk once a single item holds more than the cap
+    assert stack_chunks(items[:3], 101) == [[0], [1], [2]]
+    assert stack_chunks(range(0, 50, 7), 40) == [range(0, 14, 7), range(14, 28, 7), range(28, 42, 7), range(42, 50, 7)]
+    assert stack_chunks([], 10) == []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hcgame import game, quantum
+from hcgame import game, linalg, quantum
 from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
 from hcgame.linalg import apply_single_qubit, is_reflection
 from hcgame.quantum import (
@@ -351,16 +351,61 @@ def test_batched_simulation_equals_one_row_calls():
                 assert ops[k] == winning_probability_operator(s, [q])[0]
 
 
+def _sweep(m, samples):
+    return [QuantumStrategy(m, float(alpha)) for alpha in np.linspace(0.0, math.pi / 2, samples)]
+
+
+def test_kernels_on_a_list_of_strategies_equal_the_one_strategy_calls():
+    # m = 6 with 40 strategies spans three of the sweep's chunks (16 per stack)
+    for m, samples in ((2, 5), (4, 7), (6, 40)):
+        questions = list(all_questions(m))
+        strategies = _sweep(m, samples)
+        assert len(linalg.stack_chunks(strategies, len(questions) << m)) == (3 if m == 6 else 1)
+        dists = outcome_distribution(strategies, questions)
+        sims = winning_probability_simulated(strategies, questions)
+        ops = winning_probability_operator(strategies, questions)
+        assert dists.shape == (samples, len(questions), 1 << m)
+        assert sims.shape == ops.shape == (samples, len(questions))
+        for k, s in enumerate(strategies):
+            assert np.array_equal(dists[k], outcome_distribution(s, questions))
+            assert np.array_equal(sims[k], winning_probability_simulated(s, questions))
+            assert np.array_equal(ops[k], winning_probability_operator(s, questions))
+        # a chunk of the list gives the rows of the whole list
+        for chunk in linalg.stack_chunks(list(range(samples)), len(questions) << m):
+            part = [strategies[k] for k in chunk]
+            assert np.array_equal(winning_probability_simulated(part, questions), sims[chunk[0] : chunk[-1] + 1])
+            assert np.array_equal(winning_probability_operator(part, questions), ops[chunk[0] : chunk[-1] + 1])
+
+
+def test_simulated_rows_equal_the_dot_of_each_distribution_and_win_table():
+    # the batched reduction gives the bits of one dist @ table product per row
+    for m in range(2, 7):
+        questions = list(all_questions(m))
+        strategies = _sweep(m, 9)
+        sims = winning_probability_simulated(strategies, questions)
+        for k, s in enumerate(strategies):
+            for dist, q, sim in zip(outcome_distribution(s, questions), questions, sims[k]):
+                assert sim == float(dist @ _win_table(m, q))
+
+
+def test_kernels_refuse_a_stack_above_the_amplitude_cap():
+    # 4,096 questions of 4,096 amplitudes each: refused before the stack is built
+    questions = list(all_questions(12))
+    for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
+        with pytest.raises(ValueError, match="amplitudes"):
+            fn(QuantumStrategy(12, 0.3), questions)
+
+
 def _operator_loop_with_signs(strategy, questions):
     # the identity with (-1)^(q1*qi) applied to each product term, not folded
     # into player i's gates
     m = strategy.m
     rows = np.array(questions, dtype=np.int64)
     psi = ghz_state(m)
-    first = quantum._player_gates(strategy, 1, rows, quantum._z_entries)
+    first = quantum._player_gates([strategy], 1, rows, quantum._z_entries)
     acc = np.tile(psi, (rows.shape[0], 1))
     for i in range(2, m + 1):
-        other = quantum._player_gates(strategy, i, rows, quantum._z_entries)
+        other = quantum._player_gates([strategy], i, rows, quantum._z_entries)
         sign = np.where(rows[:, 0] & rows[:, i - 1], -1.0, 1.0)[:, None]
         tmp = apply_single_qubit(apply_single_qubit(acc, first, 0), other, i - 1)
         acc = (acc + sign * tmp) / 2.0
@@ -401,6 +446,11 @@ def test_batched_simulation_rejects_bad_questions():
         for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
             with pytest.raises(ValueError):
                 fn(s, questions)
+    # no strategy, strategies of two m, or something that is not a strategy
+    for strategies in ([], [s, QuantumStrategy(2, 0.1)], [s, 0.2]):
+        for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
+            with pytest.raises(ValueError, match="strategies"):
+                fn(strategies, list(all_questions(3)))
 
 
 def _twisted_z_entries(theta):
