@@ -16,6 +16,7 @@ from .game import (
     Answer,
     FacetAssignment,
     all_questions,
+    check_player_count,
     predicate,
     required_parity,
     validate_dimension,
@@ -70,8 +71,7 @@ def strategy_value(strategy: DeterministicStrategy) -> Fraction:
 
 
 def classical_value_formula(m: int) -> Fraction:
-    if m < 2:
-        raise ValueError(f"dimension must be at least 2, got {m}")
+    check_player_count(m)
     return Fraction(1, 2) + Fraction(1, 2 ** m)
 
 

@@ -199,16 +199,9 @@ def verify_lemma2(trials: int, dim: int, max_power: int, seed: int, tol: float) 
     report = inequalities.run_lemma2_trials(
         trials, max_dim_half=dim // 2, max_power=max_power, seed=seed, tol=tol
     )
-    tight = inequalities.lemma2_lhs(
-        inequalities.chsh_style_pair(
-            quantum.z_theta(0.0),
-            quantum.z_theta(math.pi / 2.0),
-            quantum.z_theta(math.pi / 4.0),
-            quantum.z_theta(-math.pi / 4.0),
-        ),
-        quantum.ghz_state(2),
-        1,
-    )
+    # the two-player CHSH configuration, as one-row stacks
+    reflections = (quantum.z_theta(t)[None] for t in (0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0))
+    tight = float(inequalities.lemma2_lhs(inequalities.chsh_style_pair(*reflections), quantum.ghz_state(2)[None], 1)[0])
     target = 2.0 + math.sqrt(2.0)
     checks = [
         # the margin is the worst slack, which may dip below 0 by up to tol and still pass

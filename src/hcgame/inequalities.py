@@ -37,17 +37,21 @@ LEMMA2_RELATIVE_ATOL = 2.0**-40
 
 @dataclass(frozen=True)
 class ConstrainedPair:
-    """Hermitian operators meant to satisfy S^2 + T^2 = I: one (d, d) pair,
-    or two (K, d, d) stacks holding K pairs row by row.
+    """Hermitian operators meant to satisfy S^2 + T^2 = I, as two (K, d, d)
+    stacks holding K pairs row by row.
 
-    Construction does not validate; call :meth:`validate` (the builders in
-    this module do) so degenerate pairs remain expressible in tests.  The
-    constraint residual is computed once per pair, so S and T must not be
+    Construction checks only the shapes; call :meth:`validate` (the builders
+    in this module do) so degenerate pairs remain expressible in tests.  The
+    constraint residual is computed once per stack, so S and T must not be
     changed in place.
     """
 
     s: np.ndarray
     t: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.s) != 3 or np.shape(self.s) != np.shape(self.t):
+            raise ValueError(f"need two (K, d, d) stacks of one shape, got {np.shape(self.s)} and {np.shape(self.t)}")
 
     @property
     def dim(self) -> int:
@@ -59,12 +63,12 @@ class ConstrainedPair:
         return np.abs(self.s @ self.s + self.t @ self.t - eye).max(axis=(-2, -1))
 
     def constraint_residual(self):
-        """max |S^2 + T^2 - I|: a float, or one per row of a stack."""
+        """max |S^2 + T^2 - I|, one per row."""
         return self._residual
 
     def validate(self) -> None:
-        """Raise ValueError if S or T is not Hermitian or S^2 + T^2 != I within
-        CONSTRAINT_ATOL; on a stack, a RowError naming the first bad row."""
+        """Raise a RowError naming the first row whose S or T is not Hermitian
+        or whose S^2 + T^2 != I within CONSTRAINT_ATOL."""
         check_rows(hermitian_excess(self.s), CONSTRAINT_ATOL, "S deviates from Hermitian by")
         check_rows(hermitian_excess(self.t), CONSTRAINT_ATOL, "T deviates from Hermitian by")
         check_rows(self._residual, CONSTRAINT_ATOL, "constraint residual")
@@ -87,12 +91,8 @@ def induced_edge_observable(
     returned operator is read-only because every caller shares it.
     """
     m = strategy.m
-    if owner == 1:
-        own_bit, partner = q1, 2
-    elif 2 <= owner <= m:
-        own_bit, partner = qi, owner
-    else:
-        raise ValueError(f"owner must be a player index in [1, {m}], got {owner}")
+    own_bit, partner = (q1, 2) if owner == 1 else (qi, owner)
+    # raises ValueError unless the owner is a player of the strategy
     observable = strategy.observable(owner, own_bit)
     shared = game.intersection_mask(m, owner, own_bit, q1, partner, qi)
     eye = np.eye(2, dtype=complex)
@@ -111,23 +111,20 @@ def _edge_stack(strategy: QuantumStrategy, owner: int, bits) -> np.ndarray:
     return np.array([induced_edge_observable(strategy, owner, q1, qi) for q1, qi in bits])
 
 
-def build_S_T(strategy: QuantumStrategy, i: int, rows: int | None = None) -> ConstrainedPair:
+def build_S_T(strategy: QuantumStrategy, i: int, rows: int = 1) -> ConstrainedPair:
     """S = O(0,0,1)(O(0,0,i)+O(0,1,i))/2 and T = O(1,0,1)(O(0,0,i)-O(0,1,i))/2
-    as two-qubit operators on the (1, i) slots, constraint-checked.
-
-    With ``rows`` = K, K such pairs as (K, 4, 4) stacks, each row from its own
-    four edge lookups; a bad row raises a RowError naming it.
+    as two-qubit operators on the (1, i) slots, constraint-checked: ``rows``
+    such pairs as (rows, 4, 4) stacks, each row from its own four edge
+    lookups; a bad row raises a RowError naming it.
     """
     m = strategy.m
     if not isinstance(i, numbers.Integral) or not 2 <= i <= m:
         raise ValueError(f"second player index must be an integer in [2, {m}], got {i!r}")
-    count = 1 if rows is None else rows
-    o001 = _edge_stack(strategy, 1, [(0, 0)] * count)
-    o101 = _edge_stack(strategy, 1, [(1, 0)] * count)
-    o00i = _edge_stack(strategy, i, [(0, 0)] * count)
-    o01i = _edge_stack(strategy, i, [(0, 1)] * count)
-    s, t = tensor(o001, (o00i + o01i) / 2.0), tensor(o101, (o00i - o01i) / 2.0)
-    pair = ConstrainedPair(s, t) if rows is not None else ConstrainedPair(s[0], t[0])
+    o001 = _edge_stack(strategy, 1, [(0, 0)] * rows)
+    o101 = _edge_stack(strategy, 1, [(1, 0)] * rows)
+    o00i = _edge_stack(strategy, i, [(0, 0)] * rows)
+    o01i = _edge_stack(strategy, i, [(0, 1)] * rows)
+    pair = ConstrainedPair(tensor(o001, (o00i + o01i) / 2.0), tensor(o101, (o00i - o01i) / 2.0))
     pair.validate()
     return pair
 
@@ -175,8 +172,9 @@ def random_constrained_pairs(dim_half: int, seeds) -> ConstrainedPair:
 
 
 def chsh_style_pair(a0, a1, b0, b1) -> ConstrainedPair:
-    """S = A0 (x) (B0+B1)/2 and T = A1 (x) (B0-B1)/2 from four reflections;
-    the constraint holds because (B0+B1)^2 + (B0-B1)^2 = 4I."""
+    """S = A0 (x) (B0+B1)/2 and T = A1 (x) (B0-B1)/2, row by row, from four
+    (K, d, d) stacks of reflections; the constraint holds because
+    (B0+B1)^2 + (B0-B1)^2 = 4I."""
     for name, op in (("A0", a0), ("A1", a1), ("B0", b0), ("B1", b1)):
         if not is_reflection(op):
             raise ValueError(f"{name} must square to the identity")
@@ -187,8 +185,8 @@ def chsh_style_pair(a0, a1, b0, b1) -> ConstrainedPair:
 
 
 def lemma2_lhs(pair: ConstrainedPair, psi, power: int):
-    """<(I+S)^M + (I+T)^M> on the given unit state; for a stacked pair, one
-    value per row, with ``psi`` a (K, d) stack of states.
+    """<(I+S)^M + (I+T)^M> for each row of a stacked pair, on the same row of
+    ``psi``, a (K, d) stack of unit states.
 
     The operator's norm grows like 2^M, so its Hermitian and imaginary-residue
     checks run on the operator scaled by 2^-M; a power of two scales exactly,
@@ -207,7 +205,8 @@ def _lemma2_within(slack, power, tol: float):
 
 
 def verify_lemma2(pair: ConstrainedPair, psi, power: int, tol: float = 1e-9) -> bool:
-    return bool(_lemma2_within(maximize_r(power).r_star - lemma2_lhs(pair, psi, power), power, tol))
+    """Whether every row of :func:`lemma2_lhs` is within the bound r*."""
+    return bool(np.all(_lemma2_within(maximize_r(power).r_star - lemma2_lhs(pair, psi, power), power, tol)))
 
 
 def verify_lemma3(power: int) -> bool:
@@ -217,8 +216,6 @@ def verify_lemma3(power: int) -> bool:
     M/2^(2M+1) <= excess <= 8M/2^(2M+1), which stays well conditioned at
     every M (the raw comparison drowns in rounding near M = 28).
     """
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
     theta = maximize_r(power).theta_star
     excess = r_excess_scaled(theta, power)
     lower = power * 0.5 ** (2 * power + 1)
@@ -227,9 +224,9 @@ def verify_lemma3(power: int) -> bool:
 
 def relaxed_win_bound(strategies, questions) -> np.ndarray:
     """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state for
-    each of N questions: the product-consistency upper bound on the winning
-    probability.  (N,) for one strategy; (A, N) for a sequence of strategies
-    of one m, from one statevector stack with a row per (strategy, question)."""
+    each of A strategies of one m and each of N questions: the
+    product-consistency upper bound on the winning probability, as an (A, N)
+    array from one statevector stack with a row per (strategy, question)."""
     group = quantum._strategy_list(strategies)
     m = group[0].m
     rows = quantum._question_rows(m, questions).tolist()
@@ -240,12 +237,12 @@ def relaxed_win_bound(strategies, questions) -> np.ndarray:
 
     pairs = ((edges(1, i), edges(i, i)) for i in range(2, m + 1))
     bounds = quantum.pair_products(m, len(group) * len(rows), pairs)
-    return quantum._per_strategy(strategies, bounds.reshape(len(group), len(rows)))
+    return bounds.reshape(len(group), len(rows))
 
 
 def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> bool:
-    """Checks, for every strategy (one, or a sequence of strategies of one m)
-    and every question: the simulated winning probability never exceeds the
+    """Checks, for every strategy of a sequence of strategies of one m and
+    every question: the simulated winning probability never exceeds the
     relaxation bound; the two parity identities
     O(q1,qi,1) = (-1)^q1 O(q1,1-qi,1) and O(q1,qi,i) = O(1-q1,qi,i); and
     S^2 + T^2 = I for every pairing.  True when all of them hold."""

@@ -8,7 +8,6 @@ single-qubit applications on statevectors and never materialises a full
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -31,24 +30,18 @@ IMAG_RESIDUE_ATOL = 1e-10
 OVERLAP_IMAG_ATOL = 1e-12
 
 
-def as_operator(matrix) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] > MAX_MATRIX_DIM:
-        raise ValueError(f"matrix dimension {arr.shape[0]} exceeds {MAX_MATRIX_DIM}")
-    return arr
-
-
 def _as_operators(matrix) -> np.ndarray:
-    """One square matrix, or a non-empty (K, d, d) stack of them."""
+    """A non-empty (K, d, d) stack of square matrices."""
     arr = np.asarray(matrix, dtype=complex)
-    as_operator(arr[0] if arr.ndim == 3 and arr.shape[0] > 0 else arr)
+    if arr.ndim != 3 or arr.shape[0] == 0 or arr.shape[1] != arr.shape[2]:
+        raise ValueError(f"expected a non-empty (K, d, d) stack of square matrices, got shape {arr.shape}")
+    if arr.shape[-1] > MAX_MATRIX_DIM:
+        raise ValueError(f"matrix dimension {arr.shape[-1]} exceeds {MAX_MATRIX_DIM}")
     return arr
 
 
 def hermitian_excess(ops) -> np.ndarray:
-    """max |A - A^H| of a matrix, or of each matrix of a (K, d, d) stack."""
+    """max |A - A^H| of each matrix of a (K, d, d) stack."""
     return np.abs(ops - ops.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
@@ -62,68 +55,55 @@ class RowError(ValueError):
 
 
 def check_rows(excess, atol: float, what: str) -> None:
-    """Raise ValueError if ``excess`` (a scalar, or one value per row) is
-    above atol or NaN; for rows, a :class:`RowError` naming the first bad row."""
+    """Raise a :class:`RowError` naming the first row whose ``excess`` (one
+    value per row) is above atol or NaN."""
     ok = np.asarray(excess) <= atol
     if not ok.all():
         row = int(np.argmin(ok))
-        detail = f"{what} {np.ravel(excess)[row]:.3e}, above {atol}"
-        raise RowError(row, detail) if ok.ndim else ValueError(detail)
+        raise RowError(row, f"{what} {np.ravel(excess)[row]:.3e}, above {atol}")
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with a size guard on the whole result.
-
-    ``a`` and ``b`` may also be two (K, d, d) stacks of one length; row k of
-    the result is then the product of row k of each, computed as for two
-    matrices.
-    """
+    """Kronecker product of row k of two (K, d, d) stacks of one length, for
+    every k, with a size guard on the whole result."""
     a = _as_operators(a)
     b = _as_operators(b)
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"need two matrices or two stacks of one length, got shapes {a.shape} and {b.shape}")
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"need two stacks of one length, got shapes {a.shape} and {b.shape}")
     dim = a.shape[-1] * b.shape[-1]
-    entries = math.prod(a.shape[:-2]) * dim * dim
+    entries = a.shape[0] * dim * dim
     if entries > MAX_TENSOR_ENTRIES:
         raise ValueError(f"tensor product would hold {entries} entries, cap is {MAX_TENSOR_ENTRIES}")
     # the same entrywise products as np.kron, without its generic-shape set-up
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], dim, dim)
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(a.shape[0], dim, dim)
 
 
 def real_part(values, atol: float = IMAG_RESIDUE_ATOL):
-    """The real part of complex expectation values (a scalar or an array),
-    raising ValueError if any imaginary residue exceeds the tolerance."""
+    """The real part of complex values, one per row, raising a RowError if
+    any imaginary residue exceeds the tolerance."""
     values = np.asarray(values)
     check_rows(np.abs(values.imag), atol, "imaginary residue")
     return values.real
 
 
 def expectation(matrix, psi):
-    """<psi| M |psi> for Hermitian M, returned as a real number; for a
-    (K, d, d) stack and a (K, d) stack of states, one value per row, each
-    computed as for one matrix.  Raises if an operator is not Hermitian or
-    an imaginary residue exceeds IMAG_RESIDUE_ATOL; the residue is then
-    discarded.
+    """<psi| M |psi> for each row of a (K, d, d) stack of Hermitian M and a
+    (K, d) stack of states, as K real numbers.  Raises if an operator is not
+    Hermitian or an imaginary residue exceeds IMAG_RESIDUE_ATOL; the residue
+    is then discarded.
     """
     ops = _as_operators(matrix)
     vec = np.asarray(psi, dtype=complex)
-    if ops.ndim == 2:
-        vec = vec.reshape(-1)
     if vec.shape != ops.shape[:-1]:
         raise ValueError(f"dimension mismatch: operator shape {ops.shape}, state shape {vec.shape}")
     # accumulated float error from matrix products can reach well past 1e-12
     check_rows(hermitian_excess(ops), OPERATOR_ATOL, "operator deviates from Hermitian by")
-    if ops.ndim == 2:
-        return float(real_part(np.vdot(vec, ops @ vec)))
     return real_part(np.array([np.vdot(v, op @ v) for v, op in zip(vec, ops)]))
 
 
 def matpow(matrix, k: int) -> np.ndarray:
-    """M^k by repeated squaring; M^0 is the identity.
-
-    ``matrix`` may also be a (K, d, d) stack; every slice goes through the
-    same squaring sequence as a single matrix would.
-    """
+    """M^k for each M of a (K, d, d) stack, by repeated squaring; M^0 is the
+    identity."""
     if not 0 <= k <= MAX_MATRIX_POWER:
         raise ValueError(f"exponent must be in [0, {MAX_MATRIX_POWER}], got {k}")
     arr = _as_operators(matrix)
@@ -140,10 +120,11 @@ def matpow(matrix, k: int) -> np.ndarray:
 
 
 def is_reflection(matrix) -> bool:
-    """Hermitian with spectrum in {+1, -1}, i.e. M^2 = I within tolerance."""
-    arr = as_operator(matrix)
-    square_excess = np.max(np.abs(arr @ arr - np.eye(arr.shape[0])))
-    return bool(hermitian_excess(arr) <= REFLECTION_ATOL and square_excess <= REFLECTION_ATOL)
+    """Whether every M of a (K, d, d) stack is Hermitian with spectrum in
+    {+1, -1}, i.e. M^2 = I within tolerance."""
+    arr = _as_operators(matrix)
+    square_excess = np.max(np.abs(arr @ arr - np.eye(arr.shape[-1])))
+    return bool(hermitian_excess(arr).max() <= REFLECTION_ATOL and square_excess <= REFLECTION_ATOL)
 
 
 def stack_chunks(items, entries_per_item: int) -> list:
@@ -168,16 +149,13 @@ def tile_state(psi, rows: int) -> np.ndarray:
 
 
 def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
-    """Apply a 2x2 operator to one qubit of a statevector (qubit 0 is the
-    most significant bit of the amplitude index).
-
-    ``psi`` may also be an (N, 2^n) stack of states, one per row; ``gate``
-    is then either one 2x2 operator for every row or an (N, 2, 2) stack
-    with one operator per row.  The cap on amplitudes counts the whole stack.
+    """Apply row k of an (N, 2, 2) gate stack to one qubit of row k of an
+    (N, 2^n) stack of statevectors (qubit 0 is the most significant bit of
+    the amplitude index).  The cap on amplitudes counts the whole stack.
     """
     vec = np.asarray(psi, dtype=complex)
-    if vec.ndim not in (1, 2) or vec.size == 0:
-        raise ValueError(f"expected a state or a non-empty stack of states, got shape {vec.shape}")
+    if vec.ndim != 2 or vec.size == 0:
+        raise ValueError(f"expected a non-empty stack of states, got shape {vec.shape}")
     _check_amplitudes(vec.size)
     length = vec.shape[-1]
     n = length.bit_length() - 1
@@ -186,13 +164,12 @@ def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     if not isinstance(qubit, numbers.Integral) or not 0 <= qubit < n:
         raise ValueError(f"qubit must be an integer in [0, {n}) for {n} qubits, got {qubit!r}")
     g = np.asarray(gate, dtype=complex)
-    if vec.ndim == 2 and g.shape == (vec.shape[0], 2, 2):
-        # entry (i, j) of every row's gate as an (N, 1, 1) column
-        g = g.transpose(1, 2, 0)[..., None, None]
-    elif g.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 gate or one per state, got shape {g.shape}")
+    if g.shape != (vec.shape[0], 2, 2):
+        raise ValueError(f"expected one 2x2 gate per state, got shape {g.shape}")
+    # entry (i, j) of every row's gate as an (N, 1, 1) column
+    g = g.transpose(1, 2, 0)[..., None, None]
     # index bits above the qubit form a batch axis, those below the columns
-    view = vec.reshape(*vec.shape[:-1], -1, 2, 1 << (n - 1 - qubit))
+    view = vec.reshape(vec.shape[0], -1, 2, 1 << (n - 1 - qubit))
     v0, v1 = view[..., 0, :], view[..., 1, :]
     out = np.empty_like(view)
     for row in (0, 1):

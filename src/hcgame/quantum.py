@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -60,12 +61,12 @@ class QuantumStrategy:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral) or self.m < 2:
-            raise ValueError(f"need an integer count of at least two players, got {self.m!r}")
-        if not 0.0 <= self.alpha <= math.pi / 2.0 + 1e-12:
-            raise ValueError(f"alpha must lie in [0, pi/2], got {self.alpha}")
+        game.check_player_count(self.m)
+        if not isinstance(self.alpha, numbers.Real) or not 0.0 <= self.alpha <= math.pi / 2.0 + 1e-12:
+            raise ValueError(f"alpha must be a real number in [0, pi/2], got {self.alpha!r}")
 
     def angle(self, player: int, question_bit: int) -> float:
+        game._validate_player(self.m, player)
         if question_bit not in (0, 1):
             raise ValueError(f"question bit must be 0 or 1, got {question_bit}")
         if player == 1:
@@ -86,16 +87,17 @@ def _question_and_outcomes(m: int, q, o) -> tuple[list[int], tuple]:
 
 
 def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
-    """Probability of the +/-1 outcome tuple o under the question q."""
+    """Probability of the +/-1 outcome tuple o under the question q, from a
+    one-row statevector stack."""
     m = strategy.m
     q, o = _question_and_outcomes(m, q, o)
     psi = ghz_state(m)
-    current = psi
+    current = psi[None]
     eye = np.eye(2, dtype=complex)
     for player in range(1, m + 1):
         proj = (eye + o[player - 1] * strategy.observable(player, q[player - 1])) / 2.0
-        current = apply_single_qubit(current, proj, player - 1)
-    return max(float(real_part(np.vdot(psi, current), OVERLAP_IMAG_ATOL)), 0.0)
+        current = apply_single_qubit(current, proj[None], player - 1)
+    return max(float(real_part([np.vdot(psi, current[0])], OVERLAP_IMAG_ATOL)[0]), 0.0)
 
 
 def _question_rows(m: int, questions) -> np.ndarray:
@@ -118,20 +120,11 @@ def _basis_entries(theta: float) -> list[list[float]]:
 
 
 def _strategy_list(strategies) -> list[QuantumStrategy]:
-    """One strategy as a list of one, or a non-empty sequence of strategies
-    that share one m as a list."""
-    if isinstance(strategies, QuantumStrategy):
-        return [strategies]
-    group = list(strategies)
+    """A non-empty sequence of strategies that share one m, as a list."""
+    group = list(strategies) if isinstance(strategies, Iterable) else []
     if not group or not all(isinstance(s, QuantumStrategy) and s.m == group[0].m for s in group):
-        raise ValueError("expected a strategy or a non-empty sequence of strategies of one m")
+        raise ValueError("expected a non-empty sequence of strategies of one m")
     return group
-
-
-def _per_strategy(strategies, values: np.ndarray) -> np.ndarray:
-    """(A, N, ...) results as given for a sequence of strategies, or the one
-    row of a single strategy."""
-    return values[0] if isinstance(strategies, QuantumStrategy) else values
 
 
 def _player_gates(strategies: list[QuantumStrategy], player: int, rows: np.ndarray, entries) -> np.ndarray:
@@ -142,9 +135,9 @@ def _player_gates(strategies: list[QuantumStrategy], player: int, rows: np.ndarr
 
 
 def outcome_distribution(strategies, questions) -> np.ndarray:
-    """All 2^m outcome probabilities for each of N questions, as an (N, 2^m)
-    array; for a sequence of A strategies of one m, an (A, N, 2^m) array from
-    one statevector stack with a row per (strategy, question).
+    """All 2^m outcome probabilities for each of A strategies of one m and
+    each of N questions, as an (A, N, 2^m) array from one statevector stack
+    with a row per (strategy, question).
 
     Each qubit is rotated into the eigenbasis of its observable, so index
     bit k = 0 corresponds to outcome +1 for player k+1 (big-endian, same
@@ -157,7 +150,7 @@ def outcome_distribution(strategies, questions) -> np.ndarray:
     for player in range(1, m + 1):
         gates = _player_gates(group, player, rows, _basis_entries)
         psi = apply_single_qubit(psi, gates, player - 1)
-    return _per_strategy(strategies, (np.abs(psi) ** 2).reshape(len(group), rows.shape[0], -1))
+    return (np.abs(psi) ** 2).reshape(len(group), rows.shape[0], -1)
 
 
 def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
@@ -201,15 +194,15 @@ def _win_table(m: int, q: Bits) -> np.ndarray:
 
 
 def winning_probability_simulated(strategies, questions) -> np.ndarray:
-    """Per question, the sum over outcome tuples of outcome probability times
-    the game predicate: (N,) for one strategy, (A, N) for a sequence."""
+    """Per strategy and question, the sum over outcome tuples of outcome
+    probability times the game predicate, as an (A, N) array."""
     group = _strategy_list(strategies)
     m = group[0].m
     rows = _question_rows(m, questions)
     dists = outcome_distribution(group, rows)
     tables = np.array([_win_table(m, tuple(q)) for q in rows.tolist()], dtype=float)
     # a (1, 2^m) by (2^m, 1) product per row: the same dot as dist @ table
-    return _per_strategy(strategies, (dists[:, :, None, :] @ tables[:, :, None])[..., 0, 0])
+    return (dists[:, :, None, :] @ tables[:, :, None])[..., 0, 0]
 
 
 def pair_products(m: int, n: int, pairs) -> np.ndarray:
@@ -240,23 +233,28 @@ def winning_probability_operator(strategies, questions) -> np.ndarray:
     signs = np.tile(np.where(rows[:, :1] & rows, -1.0, 1.0), (len(group), 1))[:, :, None, None]
     pairs = ((first, signs[:, i - 1] * _player_gates(group, i, rows, _z_entries)) for i in range(2, m + 1))
     products = pair_products(m, len(group) * rows.shape[0], pairs)
-    return _per_strategy(strategies, products.reshape(len(group), rows.shape[0]))
+    return products.reshape(len(group), rows.shape[0])
 
 
 def average_win_analytic(m: int, alpha: float) -> float:
     """Closed form [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, with each base
     halved before the power so large m cannot overflow."""
-    if m < 2:
-        raise ValueError(f"need at least two players, got {m}")
+    game.check_player_count(m)
     ca = (1.0 + math.cos(alpha)) / 2.0
     sa = (1.0 + math.sin(alpha)) / 2.0
     return (ca ** (m - 1) + sa ** (m - 1)) / 2.0
 
 
+def check_power(power: int) -> None:
+    """Raise ValueError unless the exponent M of r is a positive integer
+    (numpy integers count)."""
+    if not isinstance(power, game.INTEGERS) or power < 1:
+        raise ValueError(f"power must be a positive integer, got {power!r}")
+
+
 def r_function(theta: float, power: int) -> float:
     """(1+cos t)^M + (1+sin t)^M; log-domain above M = 50."""
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
+    check_power(power)
     c, s = math.cos(theta), math.sin(theta)
     if power <= _DIRECT_POWER_MAX:
         return (1.0 + c) ** power + (1.0 + s) ** power
@@ -272,8 +270,7 @@ def r_excess_scaled(theta: float, power: int) -> float:
     around M = 28.  Uses (1+cos t)/2 = cos^2(t/2) and log(cos h) =
     log1p(-2 sin^2(h/2)), which survives t as small as 2^(2-M).
     """
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
+    check_power(power)
     half_sin = math.sin(0.25 * theta)
     first = math.expm1(2.0 * power * math.log1p(-2.0 * half_sin * half_sin))
     second = 0.5 ** power * math.expm1(power * math.log1p(math.sin(theta)))
@@ -285,7 +282,8 @@ class RMaximum(NamedTuple):
     r_star: float
 
 
-@lru_cache(maxsize=MAXIMIZE_R_CACHE_SIZE)
+# typed, so a float such as 2.0 is checked instead of hitting the entry of 2
+@lru_cache(maxsize=MAXIMIZE_R_CACHE_SIZE, typed=True)
 def maximize_r(power: int) -> RMaximum:
     """Maximise r(theta, M) over theta.
 
@@ -296,8 +294,7 @@ def maximize_r(power: int) -> RMaximum:
     relative width for maximisers so close to 0 that an absolute interval
     cannot pin them (theta* shrinks like 2^(2-M)).
     """
-    if power < 1:
-        raise ValueError(f"power must be positive, got {power}")
+    check_power(power)
 
     def f(t: float) -> float:
         # the constant offset drops out; the excess form keeps full relative
@@ -335,8 +332,7 @@ def maximize_r(power: int) -> RMaximum:
 
 def quantum_value(m: int) -> float:
     """max_theta [(1+cos t)^(m-1) + (1+sin t)^(m-1)] / 2^m."""
-    if m < 2:
-        raise ValueError(f"need at least two players, got {m}")
+    game.check_player_count(m)
     return average_win_analytic(m, maximize_r(m - 1).theta_star)
 
 
@@ -346,8 +342,7 @@ def quantum_value_excess(m: int) -> float:
     This is the quantity the pinch bounds and the advantage column speak
     about; past m = 28 it falls below 1 ulp of the value itself.
     """
-    if m < 2:
-        raise ValueError(f"need at least two players, got {m}")
+    game.check_player_count(m)
     theta = maximize_r(m - 1).theta_star
     return 0.5 * r_excess_scaled(theta, m - 1)
 
@@ -355,8 +350,7 @@ def quantum_value_excess(m: int) -> float:
 def quantum_value_bounds(m: int) -> tuple[float, float]:
     """Two-sided pinch 1/2 + 1/2^m + c(m-1)/4^m with c = 1 below and c = 8
     above (upper end clamped at 1)."""
-    if m < 2:
-        raise ValueError(f"need at least two players, got {m}")
+    game.check_player_count(m)
     base = 0.5 + 0.5 ** m
     delta = (m - 1) * 0.25 ** m
     return base + delta, min(1.0, base + 8.0 * delta)

@@ -83,7 +83,7 @@ def test_criterion_03_strategy_formula_agreement():
         deviation = 0.0
         for alpha in np.linspace(0.0, math.pi / 2, 32):
             strategy = QuantumStrategy(m, float(alpha))
-            avg = sum(winning_probability_simulated(strategy, questions)) / 2 ** m
+            avg = sum(winning_probability_simulated([strategy], questions)[0]) / 2 ** m
             deviation = max(deviation, abs(avg - average_win_analytic(m, float(alpha))))
         worst[m] = deviation
     elapsed = time.perf_counter() - start
@@ -125,10 +125,8 @@ def test_criterion_05_no_signalling_perfection():
 
 def test_criterion_06_lemma2_property_suite():
     report = run_lemma2_trials(1000, max_dim_half=4, max_power=6, seed=42, tol=1e-9)
-    pair = chsh_style_pair(
-        z_theta(0.0), z_theta(math.pi / 2), z_theta(math.pi / 4), z_theta(-math.pi / 4)
-    )
-    tight = lemma2_lhs(pair, ghz_state(2), 1)
+    pair = chsh_style_pair(*(z_theta(t)[None] for t in (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)))
+    tight = lemma2_lhs(pair, [ghz_state(2)], 1)[0]
     ok = report["passed"] and abs(tight - (2 + SQRT2)) <= 1e-6
     _report(6, "1000 random constrained pairs bounded; two-player case tight", ok,
             f"worst slack {report['worst_slack']:.3e}")
@@ -140,7 +138,7 @@ def test_criterion_07_converse_chain():
         questions = list(all_questions(m))
         for alpha in np.linspace(0.0, math.pi / 2, 16):
             strategy = QuantumStrategy(m, float(alpha))
-            if not verify_converse_chain(strategy, questions, tol=1e-10):
+            if not verify_converse_chain([strategy], questions, tol=1e-10):
                 ok = False
     _report(7, "relaxation bound and operator identities for m in 2..5", ok)
 

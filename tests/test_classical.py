@@ -20,8 +20,10 @@ def test_formula_values():
     assert classical_value_formula(2) == Fraction(3, 4)
     assert classical_value_formula(3) == Fraction(5, 8)
     assert classical_value_formula(10) == Fraction(513, 1024)
-    with pytest.raises(ValueError):
-        classical_value_formula(1)
+    for m in (1, 2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            classical_value_formula(m)
+    assert classical_value_formula(np.int64(3)) == Fraction(5, 8)
 
 
 def test_canonical_strategy_shape():

@@ -90,6 +90,19 @@ def test_values_roundtrip():
     assert fa.value_at((0, 1, 0)) == 1
 
 
+def test_value_at_takes_only_vertices_of_m_bits():
+    fa = FacetAssignment.from_values(2, 1, 0, (1, -1))
+    assert [fa.value_at(v) for v in ((0, 0), (0, 1))] == [1, -1]
+    assert fa.value_at((np.int64(0), np.int64(1))) == -1
+    # an entry that is not a bit, or too few or too many entries, is refused
+    # rather than reduced to its low bit or read as another vertex
+    for vertex in ((0, 2), (0,), (0, 0, 1), (0, -1), (0.5, 1), (0, 3)):
+        with pytest.raises(ValueError, match="vertex"):
+            fa.value_at(vertex)
+    with pytest.raises(ValueError, match="not on this facet"):
+        fa.value_at((1, 0))
+
+
 def test_consistency_examples():
     q = (0, 0)
     assert consistency_ok(answer_from_masks(2, q, (0, 0)), q)

@@ -51,7 +51,7 @@ def test_edge_observables_are_reflections():
     for owner in (1, 2, 3, 4):
         for q1 in (0, 1):
             for qi in (0, 1):
-                assert is_reflection(induced_edge_observable(s, owner, q1, qi))
+                assert is_reflection([induced_edge_observable(s, owner, q1, qi)])
 
 
 def test_edge_observable_parity_identities():
@@ -100,8 +100,9 @@ def test_edge_observable_equals_the_answer_derivation_exactly():
 
 def test_edge_observable_owner_validation():
     s = QuantumStrategy(3, 0.5)
-    with pytest.raises(ValueError):
-        induced_edge_observable(s, 4, 0, 0)
+    for owner in (4, 0, -1, 1.5):
+        with pytest.raises(ValueError, match="player index"):
+            induced_edge_observable(s, owner, 0, 0)
 
 
 def test_edge_observable_memo_is_read_only_and_matches_fresh():
@@ -128,9 +129,10 @@ def test_build_S_T_constraint_and_chsh_value():
         s = QuantumStrategy(m, math.pi / 4)
         for i in range(2, m + 1):
             pair = build_S_T(s, i)
-            assert pair.constraint_residual() <= 1e-10
+            assert pair.s.shape == (1, 4, 4)
+            assert pair.constraint_residual()[0] <= 1e-10
     pair = build_S_T(QuantumStrategy(2, math.pi / 4), 2)
-    assert expectation(pair.s + pair.t, ghz_state(2)) == pytest.approx(SQRT2, abs=1e-10)
+    assert expectation(pair.s + pair.t, [ghz_state(2)])[0] == pytest.approx(SQRT2, abs=1e-10)
 
 
 def test_stacked_S_T_rows_equal_the_single_pair_bitwise():
@@ -145,9 +147,9 @@ def test_stacked_S_T_rows_equal_the_single_pair_bitwise():
                 assert stacked.s.shape == stacked.t.shape == (rows, 4, 4)
                 assert stacked.constraint_residual().shape == (rows,)
                 for k in range(rows):
-                    assert np.array_equal(stacked.s[k], single.s)
-                    assert np.array_equal(stacked.t[k], single.t)
-                    assert np.array_equal(stacked.constraint_residual()[k], single.constraint_residual())
+                    assert np.array_equal(stacked.s[k], single.s[0])
+                    assert np.array_equal(stacked.t[k], single.t[0])
+                    assert np.array_equal(stacked.constraint_residual()[k], single.constraint_residual()[0])
 
 
 def test_build_S_T_rejects_a_partner_that_is_not_an_integer_in_range():
@@ -205,20 +207,14 @@ def test_S_and_T_families_commute():
         return total
 
     for family in ("s", "t"):
-        mats = [embed(getattr(pairs[i], family), i) for i in pairs]
+        mats = [embed(getattr(pairs[i], family)[0], i) for i in pairs]
         for a in mats:
             for b in mats:
                 assert np.max(np.abs(a @ b - b @ a)) <= 1e-10
 
 
 def _pair_from_blocks(betas, phis):
-    s, t = _block_stacks([betas], [phis])
-    return ConstrainedPair(s[0], t[0])
-
-
-def _random_pair(dim_half, seed):
-    pairs = random_constrained_pairs(dim_half, [seed])
-    return ConstrainedPair(pairs.s[0], pairs.t[0])
+    return ConstrainedPair(*_block_stacks([betas], [phis]))
 
 
 def test_pair_from_blocks_edge_cases():
@@ -228,7 +224,7 @@ def test_pair_from_blocks_edge_cases():
     # with T = 0 the bound is slack: <(I+S)^M> <= 2^M so lhs <= 2^M + 1 <= r*
     rng = np.random.default_rng(9)
     for power in (1, 3, 6):
-        lhs = lemma2_lhs(pair, random_state(4, rng), power)
+        lhs = lemma2_lhs(pair, [random_state(4, rng)], power)[0]
         assert lhs <= 2 ** power + 1 + 1e-12
         assert lhs <= maximize_r(power).r_star + 1e-9
     pair = _pair_from_blocks([1.0, 1.0], [0.4, 2.0])
@@ -239,9 +235,9 @@ def test_pair_from_blocks_edge_cases():
 def test_random_constrained_pair_exact_constraint():
     for seed in (0, 1, 7, 123):
         for dim_half in (1, 2, 4):
-            pair = _random_pair(dim_half, seed)
+            pair = random_constrained_pairs(dim_half, [seed])
             assert pair.dim == 2 * dim_half
-            assert pair.constraint_residual() <= 1e-12
+            assert pair.constraint_residual()[0] <= 1e-12
     with pytest.raises(ValueError):
         random_constrained_pairs(0, [1])
 
@@ -281,63 +277,75 @@ def test_stacked_validate_names_the_first_bad_row(name, change, message):
     with pytest.raises(RowError, match=f"^row 1: {message}") as err:
         stacked.validate()
     assert err.value.row == 1
-    # the same pair alone fails the same check, with no row in the message
-    with pytest.raises(ValueError, match=f"^{message}") as err:
-        ConstrainedPair(pairs.s[1], pairs.t[1]).validate()
-    assert not isinstance(err.value, RowError)
-    ConstrainedPair(pairs.s[0], pairs.t[0]).validate()
+    # the same pair alone, as a one-row stack, fails the same check as row 0
+    with pytest.raises(RowError, match=f"^row 0: {message}"):
+        ConstrainedPair(pairs.s[1:2], pairs.t[1:2]).validate()
+    ConstrainedPair(pairs.s[:1], pairs.t[:1]).validate()
 
 
 def test_nan_pair_fails_validate():
-    nan = np.full((2, 2), math.nan)
-    with pytest.raises(ValueError, match="^S deviates from Hermitian by nan"):
-        ConstrainedPair(nan, np.eye(2)).validate()
-    with pytest.raises(ValueError, match="^T deviates from Hermitian by nan"):
-        ConstrainedPair(np.eye(2), np.diag([0.0, math.nan])).validate()
+    nan = np.full((1, 2, 2), math.nan)
+    eye = np.eye(2)[None]
+    with pytest.raises(RowError, match="^row 0: S deviates from Hermitian by nan"):
+        ConstrainedPair(nan, eye).validate()
+    with pytest.raises(RowError, match="^row 0: T deviates from Hermitian by nan"):
+        ConstrainedPair(eye, np.diag([0.0, math.nan])[None]).validate()
 
 
 def test_random_pairs_do_not_commute_generically():
-    pair = _random_pair(3, 5)
+    pair = random_constrained_pairs(3, [5])
     assert np.max(np.abs(pair.s @ pair.t - pair.t @ pair.s)) > 1e-3
 
 
-def test_chsh_style_pair():
-    b0, b1 = z_theta(math.pi / 4), z_theta(-math.pi / 4)
-    pair = chsh_style_pair(z_theta(0.0), z_theta(math.pi / 2), b0, b1)
-    assert pair.constraint_residual() <= 1e-10
-    assert expectation(pair.s + pair.t, ghz_state(2)) == pytest.approx(SQRT2, abs=1e-10)
+def _chsh_pair(*angles):
+    # the pair of four reflections Z(angle), as one-row stacks
+    return chsh_style_pair(*(z_theta(t)[None] for t in angles))
 
-    degenerate = chsh_style_pair(z_theta(0.0), z_theta(math.pi / 2), b0, b0)
+
+def test_chsh_style_pair():
+    pair = _chsh_pair(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+    assert pair.constraint_residual()[0] <= 1e-10
+    assert expectation(pair.s + pair.t, [ghz_state(2)])[0] == pytest.approx(SQRT2, abs=1e-10)
+
+    degenerate = _chsh_pair(0.0, math.pi / 2, math.pi / 4, math.pi / 4)
     assert np.allclose(degenerate.t, 0.0)
 
+    b0, b1 = z_theta(math.pi / 4)[None], z_theta(-math.pi / 4)[None]
     with pytest.raises(ValueError):
-        chsh_style_pair(np.diag([1.0, 0.5]), z_theta(0.0), b0, b1)
+        chsh_style_pair(np.diag([1.0, 0.5])[None], z_theta(0.0)[None], b0, b1)
+    # row by row over a stack; one bad row anywhere fails the stack
+    angles = np.linspace(0.0, 1.0, 5)
+    a0 = np.array([z_theta(t) for t in angles])
+    stacked = chsh_style_pair(a0, a0[::-1], a0, a0[::-1])
+    for k, t in enumerate(angles):
+        single = _chsh_pair(t, angles[-1 - k], t, angles[-1 - k])
+        assert np.array_equal(stacked.s[k], single.s[0]) and np.array_equal(stacked.t[k], single.t[0])
+    a0[3] = np.diag([1.0, 0.5])
+    with pytest.raises(ValueError, match="A0"):
+        chsh_style_pair(a0, a0[::-1], a0, a0[::-1])
 
 
 def test_lemma2_lhs_trivial_cases():
-    zero = np.zeros((2, 2), dtype=complex)
-    psi = np.array([1.0, 0.0], dtype=complex)
-    assert lemma2_lhs(ConstrainedPair(zero, zero), psi, 3) == pytest.approx(2.0)
-    assert lemma2_lhs(ConstrainedPair(np.eye(2, dtype=complex), zero), psi, 5) == pytest.approx(2 ** 5 + 1)
+    zero = np.zeros((1, 2, 2), dtype=complex)
+    psi = np.array([[1.0, 0.0]], dtype=complex)
+    assert lemma2_lhs(ConstrainedPair(zero, zero), psi, 3)[0] == pytest.approx(2.0)
+    assert lemma2_lhs(ConstrainedPair(np.eye(2, dtype=complex)[None], zero), psi, 5)[0] == pytest.approx(2 ** 5 + 1)
 
 
 def test_lemma2_chsh_equality_at_power_one():
-    pair = chsh_style_pair(
-        z_theta(0.0), z_theta(math.pi / 2), z_theta(math.pi / 4), z_theta(-math.pi / 4)
-    )
-    lhs = lemma2_lhs(pair, ghz_state(2), 1)
+    pair = _chsh_pair(0.0, math.pi / 2, math.pi / 4, -math.pi / 4)
+    lhs = lemma2_lhs(pair, [ghz_state(2)], 1)[0]
     assert lhs == pytest.approx(2 + SQRT2, abs=1e-10)
-    assert verify_lemma2(pair, ghz_state(2), 1)
+    assert verify_lemma2(pair, [ghz_state(2)], 1)
 
 
 def test_lemma2_chsh_local_optimum_reaches_bound():
     # coordinate ascent over the four angles, starting slightly off-optimal,
     # climbs back to the two-player bound
-    psi = ghz_state(2)
+    psi = [ghz_state(2)]
 
     def lhs(angles):
-        pair = chsh_style_pair(*(z_theta(t) for t in angles))
-        return lemma2_lhs(pair, psi, 1)
+        return lemma2_lhs(_chsh_pair(*angles), psi, 1)[0]
 
     angles = [0.05, math.pi / 2 - 0.04, math.pi / 4 + 0.06, -math.pi / 4 + 0.03]
     golden = (math.sqrt(5.0) - 1.0) / 2.0
@@ -382,9 +390,9 @@ def test_lemma2_slacks_equal_the_one_trial_path():
         for t, slack in enumerate(slacks):
             dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
             assert powers[t] == power
-            pair = _random_pair(dim_half, seed + t)
+            pair = random_constrained_pairs(dim_half, [seed + t])
             psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
-            assert slack == maximize_r(power).r_star - lemma2_lhs(pair, psi, power)
+            assert slack == maximize_r(power).r_star - lemma2_lhs(pair, [psi], power)[0]
         report = run_lemma2_trials(trials, max_dim_half, max_power, seed)
         assert report["worst_slack"] == min(slacks.tolist())
         assert report["passed"]
@@ -444,10 +452,10 @@ def test_lemma2_failures_count_the_verdict_of_each_trial(monkeypatch):
 def test_lemma2_rejects_states_that_are_not_unit_vectors(psi):
     # S = T = I gives 2^(M+1) on a unit state, above the bound; a shorter
     # state would pass by shrinking the left-hand side
-    eye = np.eye(2, dtype=complex)
-    assert not verify_lemma2(ConstrainedPair(eye, eye), np.array([1.0, 0.0]), 3)
+    eye = np.eye(2, dtype=complex)[None]
+    assert not verify_lemma2(ConstrainedPair(eye, eye), [[1.0, 0.0]], 3)
     with pytest.raises(ValueError, match="state norm deviates from 1"):
-        verify_lemma2(ConstrainedPair(eye, eye), psi, 3)
+        verify_lemma2(ConstrainedPair(eye, eye), [psi], 3)
 
 
 def test_lemma2_state_norm_check_names_the_failing_trial(monkeypatch):
@@ -469,11 +477,17 @@ def test_lemma2_tolerance_covers_the_rounding_of_r_star():
     # it lands a few dozen ulps of r* on either side of it
     for power in range(1, 65):
         pair = build_S_T(QuantumStrategy(2, maximize_r(power).theta_star), 2)
-        assert verify_lemma2(pair, ghz_state(2), power), power
+        assert verify_lemma2(pair, [ghz_state(2)], power), power
     # S = T = I gives 2^(M+1), about twice the bound
-    eye = np.eye(4, dtype=complex)
-    assert not verify_lemma2(ConstrainedPair(eye, eye), ghz_state(2), 64)
-    assert not verify_lemma2(ConstrainedPair(eye, eye), ghz_state(2), 1)
+    eye = np.eye(4, dtype=complex)[None]
+    assert not verify_lemma2(ConstrainedPair(eye, eye), [ghz_state(2)], 64)
+    assert not verify_lemma2(ConstrainedPair(eye, eye), [ghz_state(2)], 1)
+    # one verdict over all rows: a stack passes only when every row does
+    pairs = build_S_T(QuantumStrategy(2, maximize_r(1).theta_star), 2, 3)
+    states = np.array([ghz_state(2)] * 3)
+    assert verify_lemma2(pairs, states, 1)
+    pairs.s[1] = pairs.t[1] = np.eye(4)
+    assert not verify_lemma2(ConstrainedPair(pairs.s, pairs.t), states, 1)
 
 
 def test_lemma2_holds_at_the_largest_power():
@@ -482,9 +496,9 @@ def test_lemma2_holds_at_the_largest_power():
     r_star = maximize_r(power).r_star
     for seed in range(40):
         dim_half = 1 + seed % 4
-        pair = _random_pair(dim_half, seed)
+        pair = random_constrained_pairs(dim_half, [seed])
         psi = random_state(2 * dim_half, np.random.default_rng((seed, 1)))
-        assert lemma2_lhs(pair, psi, power) <= r_star
+        assert lemma2_lhs(pair, [psi], power)[0] <= r_star
 
 
 def test_lemma2_sweep_bounds():
@@ -564,12 +578,10 @@ def test_lemma2_classical_reduction():
     # deterministic strategies reduce the paired operators to scalars with
     # S = 0, T = +/-1 or S = +/-1, T = 0; the bound caps them at 2^M + 1
     for s_val, t_val in ((0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (-1.0, 0.0)):
-        pair = ConstrainedPair(
-            np.array([[s_val]], dtype=complex), np.array([[t_val]], dtype=complex)
-        )
-        psi = np.array([1.0], dtype=complex)
+        pair = ConstrainedPair(np.array([[[s_val]]], dtype=complex), np.array([[[t_val]]], dtype=complex))
+        psi = np.array([[1.0]], dtype=complex)
         for power in (1, 2, 5):
-            lhs = lemma2_lhs(pair, psi, power)
+            lhs = lemma2_lhs(pair, psi, power)[0]
             assert lhs <= 2 ** power + 1 + 1e-12
             assert verify_lemma2(pair, psi, power)
 
@@ -581,8 +593,10 @@ def test_lemma3_small_values():
     assert 3.25 <= r1 <= 5.0
     _, r2 = maximize_r(2)
     assert 5.25 <= r2 <= 7.0
-    with pytest.raises(ValueError):
-        verify_lemma3(0)
+    for power in (0, 1.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            verify_lemma3(power)
+    assert verify_lemma3(np.int64(2))
 
 
 def test_lemma3_sweep():
@@ -604,8 +618,8 @@ def test_relaxed_win_bound_matches_win_probability():
         for alpha in (0.2, math.pi / 4):
             s = QuantumStrategy(m, alpha)
             for q in all_questions(m):
-                assert relaxed_win_bound(s, [q])[0] == pytest.approx(
-                    winning_probability_simulated(s, [q])[0], abs=1e-10
+                assert relaxed_win_bound([s], [q])[0, 0] == pytest.approx(
+                    winning_probability_simulated([s], [q])[0, 0], abs=1e-10
                 )
 
 
@@ -614,7 +628,7 @@ def test_converse_chain():
         for alpha in (0.0, 0.4, math.pi / 4, math.pi / 2):
             s = QuantumStrategy(m, alpha)
             for q in all_questions(m):
-                assert verify_converse_chain(s, [q])
+                assert verify_converse_chain([s], [q])
 
 
 def test_converse_chain_negative_control(monkeypatch):
@@ -628,13 +642,13 @@ def test_converse_chain_negative_control(monkeypatch):
         return edge
 
     monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
-    assert not verify_converse_chain(s, [(0, 0)])
-    assert not verify_converse_chain(s, list(all_questions(2)))
+    assert not verify_converse_chain([s], [(0, 0)])
+    assert not verify_converse_chain([s], list(all_questions(2)))
     monkeypatch.undo()
     # tol = 0 fails every strategy on rounding alone; a NaN tol, against which
     # every comparison is False, must not pass them instead
     for alpha in np.linspace(0.0, math.pi / 2, 5):
-        strategy = QuantumStrategy(2, float(alpha))
+        strategy = [QuantumStrategy(2, float(alpha))]
         assert not verify_converse_chain(strategy, list(all_questions(2)), 0.0)
         for tol in (math.nan, math.inf, -1e-9):
             with pytest.raises(ValueError, match="tolerance"):
@@ -652,13 +666,13 @@ def test_converse_chain_makes_the_pinned_edge_lookups(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ineq, "induced_edge_observable", counted)
-    assert verify_converse_chain(QuantumStrategy(4, 0.7), list(all_questions(4)))
+    assert verify_converse_chain([QuantumStrategy(4, 0.7)], list(all_questions(4)))
     assert len(calls) == 16 * 3 * (2 + 4 + 4) == 480
 
 
 def _converse_chain_one_question(strategy, q, tol):
     # the chain's checks on one question, edge by edge
-    if winning_probability_simulated(strategy, [q])[0] > _relaxed_win_bound_one_state(strategy, q) + tol:
+    if winning_probability_simulated([strategy], [q])[0, 0] > _relaxed_win_bound_one_state(strategy, q) + tol:
         return False
     for i in range(2, strategy.m + 1):
         q1, qi = q[0], q[i - 1]
@@ -669,7 +683,7 @@ def _converse_chain_one_question(strategy, q, tol):
         other = induced_edge_observable(strategy, i, q1, qi)
         if np.max(np.abs(other - induced_edge_observable(strategy, i, 1 - q1, qi))) > tol:
             return False
-        if build_S_T(strategy, i).constraint_residual() > tol:
+        if build_S_T(strategy, i).constraint_residual()[0] > tol:
             return False
     return True
 
@@ -685,8 +699,8 @@ def test_converse_chains_give_the_verdict_of_one_row_calls():
         for tol in (1e-10, 1.2e-16, 1e-16, 0.0):
             singles = []
             for s in strategies:
-                verdict = verify_converse_chain(s, questions, tol)
-                assert verdict == all(verify_converse_chain(s, [q], tol) for q in questions)
+                verdict = verify_converse_chain([s], questions, tol)
+                assert verdict == all(verify_converse_chain([s], [q], tol) for q in questions)
                 assert verdict == all(_converse_chain_one_question(s, q, tol) for q in questions)
                 singles.append(verdict)
             verdicts.update(singles)
@@ -696,7 +710,7 @@ def test_converse_chains_give_the_verdict_of_one_row_calls():
             list_verdicts.add(stacked)
     assert verdicts == list_verdicts == {True, False}
     with pytest.raises(ValueError):
-        verify_converse_chain(QuantumStrategy(7, 0.3), [(0,) * 7])
+        verify_converse_chain([QuantumStrategy(7, 0.3)], [(0,) * 7])
     with pytest.raises(ValueError, match="strategies"):
         verify_converse_chain([QuantumStrategy(3, 0.1), QuantumStrategy(4, 0.1)], [(0, 0, 0)])
 
@@ -714,20 +728,20 @@ def test_converse_chain_on_a_list_fails_when_one_strategy_fails(monkeypatch):
             return edge + 1e-6 * np.eye(2) if strategy == strategies[bad] and (owner, q1, qi) == (1, 0, 1) else edge
 
         monkeypatch.setattr(ineq, "induced_edge_observable", perturbed)
-        assert [verify_converse_chain(s, questions) for s in strategies] == [k != bad for k in range(7)]
+        assert [verify_converse_chain([s], questions) for s in strategies] == [k != bad for k in range(7)]
         assert not verify_converse_chain(strategies, questions)
         monkeypatch.undo()
 
 
 def _relaxed_win_bound_one_state(strategy, q):
-    # one question on a single statevector, edge by edge
+    # one question on a one-row statevector stack, edge by edge
     psi = ghz_state(strategy.m)
-    acc = psi
+    acc = psi[None]
     for i in range(2, strategy.m + 1):
-        e1 = induced_edge_observable(strategy, 1, q[0], q[i - 1])
-        ei = induced_edge_observable(strategy, i, q[0], q[i - 1])
+        e1 = induced_edge_observable(strategy, 1, q[0], q[i - 1])[None]
+        ei = induced_edge_observable(strategy, i, q[0], q[i - 1])[None]
         acc = (acc + apply_single_qubit(apply_single_qubit(acc, e1, 0), ei, i - 1)) / 2.0
-    return float(np.vdot(psi, acc).real)
+    return float(np.vdot(psi, acc[0]).real)
 
 
 def test_relaxed_win_bounds_match_one_row_calls():
@@ -737,18 +751,18 @@ def test_relaxed_win_bounds_match_one_row_calls():
         stacked = relaxed_win_bound(strategies, questions)
         assert stacked.shape == (len(strategies), len(questions))
         for s, row in zip(strategies, stacked):
-            bounds = relaxed_win_bound(s, questions)
-            assert bounds.shape == (len(questions),)
-            assert np.array_equal(row, bounds)
-            for bound, q in zip(bounds, questions):
-                assert abs(bound - relaxed_win_bound(s, [q])[0]) <= 1e-15
+            bounds = relaxed_win_bound([s], questions)
+            assert bounds.shape == (1, len(questions))
+            assert np.array_equal(row, bounds[0])
+            for bound, q in zip(bounds[0], questions):
+                assert abs(bound - relaxed_win_bound([s], [q])[0, 0]) <= 1e-15
                 assert abs(bound - _relaxed_win_bound_one_state(s, q)) <= 1e-15
     # no question, or one that is too short, too long, not binary or not an integer
     for questions in ([], [(0, 1)], [(0, 1, 1, 1)], [(0, 1, 2)], [(0.9, 1, 0)], [(0, 0.5, 1)]):
         with pytest.raises(ValueError):
-            relaxed_win_bound(QuantumStrategy(3, 0.1), questions)
+            relaxed_win_bound([QuantumStrategy(3, 0.1)], questions)
     with pytest.raises(ValueError):
-        relaxed_win_bound(QuantumStrategy(2, 0.3), [(0.9, 1)])
+        relaxed_win_bound([QuantumStrategy(2, 0.3)], [(0.9, 1)])
 
 
 def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
@@ -761,7 +775,27 @@ def test_relaxed_win_bound_imaginary_residue_raises(monkeypatch):
 
     monkeypatch.setattr(ineq, "induced_edge_observable", twisted)
     with pytest.raises(ValueError, match="imaginary residue"):
-        relaxed_win_bound(s, [(0, 0), (1, 1)])
+        relaxed_win_bound([s], [(0, 0), (1, 1)])
+
+
+def test_stacked_entry_points_reject_a_bare_item():
+    # a one-item call is f([x])[0]: a bare strategy, matrix, state or pair is refused
+    strategy, questions = QuantumStrategy(2, 0.3), list(all_questions(2))
+    for fn in (relaxed_win_bound, verify_converse_chain):
+        with pytest.raises(ValueError, match="strategies"):
+            fn(strategy, questions)
+    z = [z_theta(t) for t in (0.0, math.pi / 2, math.pi / 4, -math.pi / 4)]
+    with pytest.raises(ValueError):
+        chsh_style_pair(*z)
+    pair = chsh_style_pair(*(op[None] for op in z))
+    for psi in (ghz_state(2), [[1.0, 0.0]]):
+        for fn in (lemma2_lhs, verify_lemma2):
+            with pytest.raises(ValueError):
+                fn(pair, psi, 1)
+    # a pair of bare matrices, or of two stacks of different shapes
+    for s, t in ((pair.s[0], pair.t[0]), (pair.s, pair.t[0]), (pair.s, np.concatenate([pair.t, pair.t]))):
+        with pytest.raises(ValueError, match="stacks"):
+            ConstrainedPair(s, t)
 
 
 def test_random_state_normalized():

@@ -48,8 +48,7 @@ def test_z_theta_special_cases():
 
     assert np.allclose(z_theta(0.0), np.diag([1.0, -1.0]))
     assert np.allclose(z_theta(math.pi / 2), np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-15)
-    for theta in np.linspace(0, math.pi, 7):
-        assert is_reflection(z_theta(theta))
+    assert is_reflection([z_theta(theta) for theta in np.linspace(0, math.pi, 7)])
 
 
 def test_measurement_angles():
@@ -61,9 +60,16 @@ def test_measurement_angles():
     with pytest.raises(ValueError):
         angle(2, 2)
     strategy = QuantumStrategy(3, 0.3)
-    for player in (1, 2, 3):
-        for bit in (0, 1):
-            assert is_reflection(strategy.observable(player, bit))
+    assert is_reflection([strategy.observable(player, bit) for player in (1, 2, 3) for bit in (0, 1)])
+
+
+def test_angle_and_observable_take_only_players_of_the_strategy():
+    strategy = QuantumStrategy(3, 0.2)
+    for player in (0, 4, -1, 1.0, 2.5, "1", None):
+        for fn in (strategy.angle, strategy.observable):
+            with pytest.raises(ValueError, match="player index must be an integer in \\[1, 3\\]"):
+                fn(player, 0)
+    assert strategy.angle(np.int64(3), 0) == strategy.angle(3, 0) == 0.2
 
 
 def test_outcome_probability_z_basis():
@@ -94,7 +100,7 @@ def test_outcome_distribution_matches_pointwise():
     for m in (2, 3):
         s = QuantumStrategy(m, 0.41)
         for q in all_questions(m):
-            dist = outcome_distribution(s, [q])[0]
+            dist = outcome_distribution([s], [q])[0, 0]
             for idx, o in enumerate(_outcomes(m)):
                 assert dist[idx] == pytest.approx(outcome_probability(s, q, o), abs=1e-12)
 
@@ -168,7 +174,7 @@ def test_outcome_to_answer_m2_example():
 
 def test_win_alpha_zero_q_zero():
     s = QuantumStrategy(2, 0.0)
-    assert winning_probability_simulated(s, [(0, 0)])[0] == pytest.approx(1.0, abs=1e-12)
+    assert winning_probability_simulated([s], [(0, 0)])[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cross_oracle_simulated_equals_operator():
@@ -176,15 +182,15 @@ def test_cross_oracle_simulated_equals_operator():
         for alpha in np.linspace(0.0, math.pi / 2, samples):
             s = QuantumStrategy(m, float(alpha))
             questions = list(all_questions(m))
-            sims = winning_probability_simulated(s, questions)
-            ops = winning_probability_operator(s, questions)
+            sims = winning_probability_simulated([s], questions)
+            ops = winning_probability_operator([s], questions)
             assert np.max(np.abs(sims - ops)) <= 1e-10
 
 
 def test_m2_average_matches_closed_form():
     for alpha in np.linspace(0.0, math.pi / 2, 17):
         s = QuantumStrategy(2, float(alpha))
-        avg = sum(winning_probability_simulated(s, list(all_questions(2)))) / 4
+        avg = sum(winning_probability_simulated([s], list(all_questions(2)))[0]) / 4
         assert avg == pytest.approx(average_win_analytic(2, float(alpha)), abs=1e-12)
 
 
@@ -206,7 +212,7 @@ def test_simulated_average_matches_independent_expansion():
     for m in (2, 3, 4, 5):
         for alpha in np.linspace(0.0, math.pi / 2, 7):
             s = QuantumStrategy(m, float(alpha))
-            avg = sum(winning_probability_simulated(s, list(all_questions(m)))) / 2 ** m
+            avg = sum(winning_probability_simulated([s], list(all_questions(m)))[0]) / 2 ** m
             assert avg == pytest.approx(_ghz_strategy_average_exact(m, float(alpha)), abs=1e-12)
 
 
@@ -215,7 +221,7 @@ def test_closed_form_diverges_from_simulation_beyond_two_players():
     # strategy yields once m >= 3 (tracked in the acceptance suite)
     alpha = math.pi / 4
     s = QuantumStrategy(3, alpha)
-    avg = sum(winning_probability_simulated(s, list(all_questions(3)))) / 8
+    avg = sum(winning_probability_simulated([s], list(all_questions(3)))[0]) / 8
     assert avg == pytest.approx((5 + 2 * SQRT2) / 16, abs=1e-12)
     assert average_win_analytic(3, alpha) == pytest.approx((3 + 2 * SQRT2) / 8, abs=1e-12)
     assert avg < average_win_analytic(3, alpha)
@@ -310,6 +316,31 @@ def test_strategy_validation():
         with pytest.raises(ValueError, match="integer"):
             QuantumStrategy(m, 0.1)
     assert QuantumStrategy(np.int64(3), 0.1) == QuantumStrategy(3, 0.1)
+    # a non-real alpha is refused as an invalid value, not by a failed comparison
+    for alpha in ("0.3", None, 0.3j, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            QuantumStrategy(2, alpha)
+    assert QuantumStrategy(2, np.float64(0.3)) == QuantumStrategy(2, 0.3)
+
+
+@pytest.mark.parametrize(
+    "fn, bad, good",
+    [
+        (maximize_r, (1.5, 2.0, np.float64(3.0), 0, "2"), 3),
+        (lambda power: r_function(0.3, power), (1.5, 2.0, 0), 3),
+        (lambda power: quantum.r_excess_scaled(0.3, power), (1.5, 2.0, 0), 3),
+        (quantum_value, (2.5, 3.0, 1, "3"), 3),
+        (quantum_value_excess, (2.5, 3.0, 1), 3),
+        (quantum_value_bounds, (2.5, 3.0, 1), 3),
+        (lambda m: average_win_analytic(m, 0.1), (2.5, 3.0, 1), 3),
+    ],
+)
+def test_closed_forms_take_integer_arguments_only(fn, bad, good):
+    for value in bad:
+        with pytest.raises(ValueError, match="integer"):
+            fn(value)
+    # numpy integers count as integers
+    assert fn(np.int64(good)) == pytest.approx(fn(good), rel=1e-12)
 
 
 def test_win_table_matches_predicate_of_each_outcome():
@@ -331,8 +362,8 @@ def test_win_table_cache_holds_every_question_of_a_sweep():
     questions = [(0,) * 9, (1,) * 9, (1, 0, 1, 1, 0, 0, 1, 0, 1), (0, 1, 1, 0, 1, 0, 0, 1, 1)]
     for alpha in (0.0, 0.4, math.pi / 2):
         s = QuantumStrategy(9, alpha)
-        sims = winning_probability_simulated(s, questions)
-        ops = winning_probability_operator(s, questions)
+        sims = winning_probability_simulated([s], questions)
+        ops = winning_probability_operator([s], questions)
         assert np.max(np.abs(sims - ops)) <= 1e-12, alpha
 
 
@@ -340,15 +371,15 @@ def test_batched_simulation_equals_one_row_calls():
     for m, samples in ((2, 5), (3, 5), (4, 3), (5, 3), (6, 2)):
         questions = list(all_questions(m))
         for alpha in np.linspace(0.0, math.pi / 2, samples):
-            s = QuantumStrategy(m, float(alpha))
-            dists = outcome_distribution(s, questions)
-            sims = winning_probability_simulated(s, questions)
-            ops = winning_probability_operator(s, questions)
+            s = [QuantumStrategy(m, float(alpha))]
+            dists = outcome_distribution(s, questions)[0]
+            sims = winning_probability_simulated(s, questions)[0]
+            ops = winning_probability_operator(s, questions)[0]
             assert dists.shape == (len(questions), 1 << m)
             for k, q in enumerate(questions):
-                assert np.array_equal(dists[k], outcome_distribution(s, [q])[0])
-                assert sims[k] == winning_probability_simulated(s, [q])[0]
-                assert ops[k] == winning_probability_operator(s, [q])[0]
+                assert np.array_equal(dists[k], outcome_distribution(s, [q])[0, 0])
+                assert sims[k] == winning_probability_simulated(s, [q])[0, 0]
+                assert ops[k] == winning_probability_operator(s, [q])[0, 0]
 
 
 def _sweep(m, samples):
@@ -367,9 +398,9 @@ def test_kernels_on_a_list_of_strategies_equal_the_one_strategy_calls():
         assert dists.shape == (samples, len(questions), 1 << m)
         assert sims.shape == ops.shape == (samples, len(questions))
         for k, s in enumerate(strategies):
-            assert np.array_equal(dists[k], outcome_distribution(s, questions))
-            assert np.array_equal(sims[k], winning_probability_simulated(s, questions))
-            assert np.array_equal(ops[k], winning_probability_operator(s, questions))
+            assert np.array_equal(dists[k], outcome_distribution([s], questions)[0])
+            assert np.array_equal(sims[k], winning_probability_simulated([s], questions)[0])
+            assert np.array_equal(ops[k], winning_probability_operator([s], questions)[0])
         # a chunk of the list gives the rows of the whole list
         for chunk in linalg.stack_chunks(list(range(samples)), len(questions) << m):
             part = [strategies[k] for k in chunk]
@@ -384,7 +415,7 @@ def test_simulated_rows_equal_the_dot_of_each_distribution_and_win_table():
         strategies = _sweep(m, 9)
         sims = winning_probability_simulated(strategies, questions)
         for k, s in enumerate(strategies):
-            for dist, q, sim in zip(outcome_distribution(s, questions), questions, sims[k]):
+            for dist, q, sim in zip(outcome_distribution([s], questions)[0], questions, sims[k]):
                 assert sim == float(dist @ _win_table(m, q))
 
 
@@ -393,7 +424,7 @@ def test_kernels_refuse_a_stack_above_the_amplitude_cap():
     questions = list(all_questions(12))
     for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
         with pytest.raises(ValueError, match="amplitudes"):
-            fn(QuantumStrategy(12, 0.3), questions)
+            fn([QuantumStrategy(12, 0.3)], questions)
 
 
 def _operator_loop_with_signs(strategy, questions):
@@ -417,7 +448,7 @@ def test_operator_identity_equals_the_signed_loop_exactly():
         questions = list(all_questions(m))
         for alpha in (0.0, 0.37, math.pi / 4, 1.2, math.pi / 2):
             s = QuantumStrategy(m, alpha)
-            ops = winning_probability_operator(s, questions)
+            ops = winning_probability_operator([s], questions)[0]
             assert ops.tolist() == _operator_loop_with_signs(s, questions).tolist()
 
 
@@ -427,9 +458,9 @@ def test_batched_simulation_agrees_with_outcome_probability():
         outcomes = list(_outcomes(m))
         for alpha in (0.0, 0.37, math.pi / 2):
             s = QuantumStrategy(m, alpha)
-            dists = outcome_distribution(s, questions)
-            sims = winning_probability_simulated(s, questions)
-            ops = winning_probability_operator(s, questions)
+            dists = outcome_distribution([s], questions)[0]
+            sims = winning_probability_simulated([s], questions)[0]
+            ops = winning_probability_operator([s], questions)[0]
             for k, q in enumerate(questions):
                 pointwise = [outcome_probability(s, q, o) for o in outcomes]
                 assert np.max(np.abs(dists[k] - pointwise)) <= 1e-12
@@ -445,9 +476,9 @@ def test_batched_simulation_rejects_bad_questions():
     for questions in bad:
         for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
             with pytest.raises(ValueError):
-                fn(s, questions)
-    # no strategy, strategies of two m, or something that is not a strategy
-    for strategies in ([], [s, QuantumStrategy(2, 0.1)], [s, 0.2]):
+                fn([s], questions)
+    # a bare strategy, no strategy, strategies of two m, or something that is not a strategy
+    for strategies in (s, [], [s, QuantumStrategy(2, 0.1)], [s, 0.2], 0.2):
         for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
             with pytest.raises(ValueError, match="strategies"):
                 fn(strategies, list(all_questions(3)))
@@ -463,9 +494,9 @@ def _twisted_z_entries(theta):
 def test_imaginary_residue_raises_value_error(monkeypatch):
     # a raised error, not an assert, so the check survives python -O
     s = QuantumStrategy(2, 0.6)
-    assert abs(winning_probability_operator(s, [(1, 0)])[0] - winning_probability_simulated(s, [(1, 0)])[0]) <= 1e-12
+    assert abs(winning_probability_operator([s], [(1, 0)])[0, 0] - winning_probability_simulated([s], [(1, 0)])[0, 0]) <= 1e-12
     monkeypatch.setattr(quantum, "_z_entries", _twisted_z_entries)
     with pytest.raises(ValueError, match="imaginary residue"):
-        winning_probability_operator(s, [(0, 0), (1, 0)])
+        winning_probability_operator([s], [(0, 0), (1, 0)])
     with pytest.raises(ValueError, match="imaginary residue"):
         outcome_probability(s, (1, 0), (1, 1))
