@@ -13,9 +13,11 @@ from fractions import Fraction
 import numpy as np
 
 from .game import (
+    MIN_DIMENSION,
     Answer,
     FacetAssignment,
     all_questions,
+    check_int,
     check_player_count,
     predicate,
     required_parity,
@@ -113,8 +115,7 @@ def brute_force_classical_value(
     the parity rule (an answer violating parity loses outright, so nothing
     is lost).  Ties break towards the smallest canonical mask tuple.
     """
-    if m not in (2, 3):
-        raise ValueError(f"exhaustive search is supported for m in {{2, 3}}, got {m}")
+    check_int(m, MIN_DIMENSION, 3, "player count of the exhaustive search")
     if m == 3 and not restrict_parity:
         raise ValueError("the m=3 search requires the parity restriction")
 
@@ -132,9 +133,8 @@ def brute_force_classical_value(
 
 
 def enumerate_strategies(m: int, restrict_parity: bool = False):
-    """Yield every deterministic strategy; practical for m = 2 only."""
-    if m != 2:
-        raise ValueError("full strategy enumeration is exposed for m = 2 only")
+    """Every deterministic strategy, as an iterator; practical for m = 2 only."""
+    check_int(m, MIN_DIMENSION, 2, "player count of the strategy enumeration")
     candidates = _candidate_masks(m, restrict_parity)
     pools = [
         [
@@ -144,5 +144,4 @@ def enumerate_strategies(m: int, restrict_parity: bool = False):
         ]
         for p in range(m)
     ]
-    for combo in itertools.product(*pools):
-        yield DeterministicStrategy(m, combo)
+    return (DeterministicStrategy(m, combo) for combo in itertools.product(*pools))

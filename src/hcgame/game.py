@@ -14,6 +14,7 @@ appear only at the API surface.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,23 +27,52 @@ MAX_DIMENSION = 24
 ENUMERATION_MAX_DIMENSION = 3
 # label-grid cells (bytes) the batched win rule works on at once
 _GRID_CELLS = 1 << 22
-# the types an index, count or exponent may have; testing these concrete types
-# takes a few dozen ns, numbers.Integral about 600 ns (on every angle lookup)
+# the types an index, count, exponent or mask may have; testing these concrete
+# types takes a few dozen ns, the abstract integer type about 600 ns (on every
+# angle lookup)
 INTEGERS = (int, np.integer)
 
 
+def check_int(value, lo: int, hi: float, what: str) -> None:
+    """The one integer rule: raise ValueError unless value is an integer
+    (numpy integers count) in [lo, hi]; hi = math.inf leaves it unbounded."""
+    if not isinstance(value, INTEGERS) or not lo <= value <= hi:
+        fault = "out of range" if isinstance(value, INTEGERS) else "not an integer"
+        raise ValueError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}, {fault}")
+
+
+def check_masks(masks, size: int) -> None:
+    """The one mask rule: raise ValueError unless every mask of a facet of
+    ``size`` vertices (one mask, or an array or nested sequence of them) is
+    an integer in [0, 2^size)."""
+    if isinstance(masks, INTEGERS):
+        entries = (masks,)
+    elif (arr := np.asarray(masks)).dtype.kind in "iu":
+        entries = (int(arr.min()), int(arr.max())) if arr.size else ()
+    else:
+        # one by one, exactly: np.asarray([0, 2**63]) is a float array
+        entries = np.asarray(masks, dtype=object).flat
+    hi = (1 << size) - 1
+    for mask in entries:
+        check_int(mask, 0, hi, "mask")
+
+
 def validate_dimension(m: int) -> None:
-    if not MIN_DIMENSION <= m <= MAX_DIMENSION:
-        raise ValueError(
-            f"dimension must be in [{MIN_DIMENSION}, {MAX_DIMENSION}], got {m}"
-        )
+    """The player-count rule within the board cap MAX_DIMENSION."""
+    check_int(m, MIN_DIMENSION, MAX_DIMENSION, "player count")
+
+
+def _validate_bit(b, what: str = "question bit") -> None:
+    if b not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {b}")
 
 
 def vertex_index(bits: Bits) -> int:
     """Big-endian integer encoding: (x1, ..., xm) -> sum of xk * 2^(m-k)."""
     index = 0
     for b in bits:
-        index = (index << 1) | (b & 1)
+        _validate_bit(b, "vertex bit")
+        index = (index << 1) | int(b == 1)
     return index
 
 
@@ -52,23 +82,17 @@ def vertex_bits(index: int, m: int) -> Bits:
 
 
 def check_player_count(m: int) -> None:
-    """Raise ValueError unless m is an integer count of at least two players
-    (numpy integers count): the rule of every closed form in m."""
-    if not isinstance(m, INTEGERS) or m < MIN_DIMENSION:
-        raise ValueError(f"need an integer count of at least {MIN_DIMENSION} players, got {m!r}")
+    """The rule of every closed form in m: an integer count of at least two
+    players."""
+    check_int(m, MIN_DIMENSION, math.inf, "player count")
 
 
 def _validate_player(m: int, i: int) -> None:
-    if not isinstance(i, INTEGERS) or not 1 <= i <= m:
-        raise ValueError(f"player index must be an integer in [1, {m}], got {i!r}")
+    check_int(i, 1, m, "player index")
 
 
-def _validate_bit(b: int) -> None:
-    if b not in (0, 1):
-        raise ValueError(f"question bit must be 0 or 1, got {b}")
-
-
-@lru_cache(maxsize=None)
+# typed caches, so a float such as 2.0 is checked instead of hitting the entry of 2
+@lru_cache(maxsize=None, typed=True)
 def _facet_indices(m: int, i: int, q: int) -> tuple[int, ...]:
     validate_dimension(m)
     _validate_player(m, i)
@@ -77,12 +101,12 @@ def _facet_indices(m: int, i: int, q: int) -> tuple[int, ...]:
     return tuple(e for e in range(1 << m) if (e >> shift) & 1 == q)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _facet_position(m: int, i: int, q: int) -> dict[int, int]:
     return {e: k for k, e in enumerate(_facet_indices(m, i, q))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def intersection_mask(m: int, player: int, question_bit: int, q1: int, i: int, q_i: int) -> int:
     """Bit k set iff vertex k of the player's facet {x_player = question_bit}
     (facet order) lies on both player 1's facet {x_1 = q1} and player i's
@@ -90,9 +114,7 @@ def intersection_mask(m: int, player: int, question_bit: int, q1: int, i: int, q
     validate_dimension(m)
     for b in (question_bit, q1, q_i):
         _validate_bit(b)
-    if i < 2:
-        raise ValueError(f"intersection partner must be a player index >= 2, got {i}")
-    _validate_player(m, i)
+    check_int(i, 2, m, "intersection partner")
     _validate_player(m, player)
     cube = np.zeros((2,) * m, dtype=bool)
     cube[(q1,) + (slice(None),) * (i - 2) + (q_i,)] = True
@@ -128,8 +150,7 @@ class FacetAssignment:
         validate_dimension(self.m)
         _validate_player(self.m, self.player)
         _validate_bit(self.question_bit)
-        if not 0 <= self.mask < (1 << self.size):
-            raise ValueError(f"mask out of range for facet of size {self.size}")
+        check_masks(self.mask, self.size)
 
     @property
     def size(self) -> int:
@@ -154,8 +175,8 @@ class FacetAssignment:
         return tuple(1 - 2 * ((self.mask >> k) & 1) for k in range(self.size))
 
     def value_at(self, vertex: Bits) -> int:
-        if len(vertex) != self.m or any(b not in (0, 1) for b in vertex):
-            raise ValueError(f"expected a vertex of {self.m} bits, each 0 or 1, got {vertex}")
+        if len(vertex) != self.m:
+            raise ValueError(f"expected a vertex of {self.m} bits, got {vertex}")
         pos = _facet_position(self.m, self.player, self.question_bit).get(
             vertex_index(vertex)
         )
@@ -224,18 +245,12 @@ def mask_dtype(width: int):
 def _mask_bits(masks: np.ndarray, size: int) -> np.ndarray:
     """Unpack an integer array of facet masks to its bits along a new last
     axis of length size (bit k of a mask is the label of facet vertex k)."""
-    if masks.dtype.kind != "u" and (masks < 0).any():
-        raise ValueError("masks must be non-negative")
+    check_masks(masks, size)
     if mask_dtype(size) is np.uint64:
         wide = masks.astype(np.uint64)
-        if size < 64 and (wide >> np.uint64(size)).any():
-            raise ValueError(f"mask out of range for facet of size {size}")
         return ((wide[..., None] >> np.arange(size, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
     # facets past 64 vertices (m >= 8) only fit Python integers
-    try:
-        raw = b"".join(int(mask).to_bytes(size // 8, "little") for mask in masks.ravel())
-    except OverflowError:
-        raise ValueError(f"mask out of range for facet of size {size}") from None
+    raw = b"".join(int(mask).to_bytes(size // 8, "little") for mask in masks.ravel())
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     return bits.reshape(masks.shape + (size,))
 
@@ -257,7 +272,7 @@ def _rule_checks(m: int, q: Bits, masks) -> tuple[np.ndarray, np.ndarray]:
     for b in q:
         _validate_bit(b)
     masks = np.asarray(masks)
-    if masks.dtype.kind not in "iuO" or masks.ndim != 2 or masks.shape[1] != m:
+    if masks.ndim != 2 or masks.shape[1] != m:
         raise ValueError(f"expected an (N, {m}) integer array of masks, got {masks.dtype} {masks.shape}")
     required = [required_parity(i + 1, q[i]) for i in range(m)]
     # rows go through in chunks so the label grid stays near _GRID_CELLS bytes
@@ -288,12 +303,14 @@ def batch_predicate(m: int, q: Bits, masks) -> np.ndarray:
 
 def win_table(m: int, q: Bits, candidates) -> np.ndarray:
     """Win bits (uint8) of every answer to question q that takes one mask from
-    each player's list of candidates (non-negative Python integers), with
+    each player's list of candidates (integers within the mask rule), with
     shape (K_1, ..., K_m) for K_i candidates of player i."""
     validate_dimension(m)
     if len(candidates) != m:
         raise ValueError(f"expected candidate masks for {m} players, got {len(candidates)}")
     shape = tuple(len(column) for column in candidates)
+    # checked before the cast, which would truncate 1.5 to 1
+    check_masks([mask for column in candidates for mask in column], 1 << (m - 1))
     masks = np.empty(shape + (m,), dtype=mask_dtype(1 << (m - 1)))
     for i, column in enumerate(candidates):
         # trailing unit axes broadcast player i's masks along axis i
@@ -334,8 +351,6 @@ def product_over_intersection(
             if m > 2:
                 raise ValueError("partner player index required for player 1 when m > 2")
             partner = 2
-        if not 2 <= partner <= m:
-            raise ValueError(f"partner must be in [2, {m}], got {partner}")
         i = partner
     else:
         i = assignment.player
@@ -385,6 +400,7 @@ def chsh_bit_embedding(a1: int, a2: int, q: Bits) -> Answer:
 
 def all_questions(m: int):
     """All 2^m questions in ascending canonical order."""
+    validate_dimension(m)
     return itertools.product((0, 1), repeat=m)
 
 
@@ -394,11 +410,7 @@ def all_answers(m: int, q: Bits):
     The answer space has (2^(2^(m-1)))^m elements, so exhaustive walks are
     capped where they stay cheap.
     """
-    if m > ENUMERATION_MAX_DIMENSION:
-        raise ValueError(
-            f"exhaustive answer enumeration is limited to m <= {ENUMERATION_MAX_DIMENSION}"
-        )
-    size = 1 << (m - 1)
-    for masks in itertools.product(range(1 << size), repeat=m):
-        yield answer_from_masks(m, q, masks)
+    check_int(m, MIN_DIMENSION, ENUMERATION_MAX_DIMENSION, "player count of an answer enumeration")
+    masks = itertools.product(range(1 << (1 << (m - 1))), repeat=m)
+    return (answer_from_masks(m, q, row) for row in masks)
 

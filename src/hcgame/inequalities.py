@@ -15,17 +15,16 @@ constrained pairs, and checks the inequalities within stated tolerances.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import game, quantum
-from .linalg import RowError, check_rows, expectation, hermitian_excess, is_reflection, matpow, stack_chunks, tensor
+from .game import check_int
+from .linalg import OPERATOR_ATOL, RowError, check_rows, expectation, hermitian_excess, is_reflection, matpow, stack_chunks, tensor
 from .quantum import QuantumStrategy, maximize_r, r_excess_scaled
 
-CONSTRAINT_ATOL = 1e-9
 IDENTITY_ATOL = 1e-10
 STATE_NORM_ATOL = 1e-12
 # 4m edges per strategy; room for every strategy of a default converse sweep
@@ -68,13 +67,14 @@ class ConstrainedPair:
 
     def validate(self) -> None:
         """Raise a RowError naming the first row whose S or T is not Hermitian
-        or whose S^2 + T^2 != I within CONSTRAINT_ATOL."""
-        check_rows(hermitian_excess(self.s), CONSTRAINT_ATOL, "S deviates from Hermitian by")
-        check_rows(hermitian_excess(self.t), CONSTRAINT_ATOL, "T deviates from Hermitian by")
-        check_rows(self._residual, CONSTRAINT_ATOL, "constraint residual")
+        or whose S^2 + T^2 != I within OPERATOR_ATOL."""
+        check_rows(hermitian_excess(self.s), OPERATOR_ATOL, "S deviates from Hermitian by")
+        check_rows(hermitian_excess(self.t), OPERATOR_ATOL, "T deviates from Hermitian by")
+        check_rows(self._residual, OPERATOR_ATOL, "constraint residual")
 
 
-@lru_cache(maxsize=EDGE_CACHE_SIZE)
+# typed, so an owner of 2.0 is checked instead of hitting the entry of 2
+@lru_cache(maxsize=EDGE_CACHE_SIZE, typed=True)
 def induced_edge_observable(
     strategy: QuantumStrategy, owner: int, q1: int, qi: int
 ) -> np.ndarray:
@@ -117,9 +117,8 @@ def build_S_T(strategy: QuantumStrategy, i: int, rows: int = 1) -> ConstrainedPa
     such pairs as (rows, 4, 4) stacks, each row from its own four edge
     lookups; a bad row raises a RowError naming it.
     """
-    m = strategy.m
-    if not isinstance(i, numbers.Integral) or not 2 <= i <= m:
-        raise ValueError(f"second player index must be an integer in [2, {m}], got {i!r}")
+    check_int(i, 2, strategy.m, "second player index")
+    check_int(rows, 1, math.inf, "row count")
     o001 = _edge_stack(strategy, 1, [(0, 0)] * rows)
     o101 = _edge_stack(strategy, 1, [(1, 0)] * rows)
     o00i = _edge_stack(strategy, i, [(0, 0)] * rows)
@@ -160,8 +159,7 @@ def random_constrained_pairs(dim_half: int, seeds) -> ConstrainedPair:
     construction: T has 2x2 blocks diag(b, -b) and S pairs each with
     sqrt(1-b^2) times a random real reflection, giving non-commuting S, T
     for generic draws."""
-    if dim_half < 1:
-        raise ValueError(f"need at least one block, got {dim_half}")
+    check_int(dim_half, 1, math.inf, "block count")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # each generator draws its betas, then its phis
     betas = np.array([rng.uniform(0.0, 1.0, dim_half) for rng in rngs])
@@ -250,8 +248,7 @@ def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> 
     m = group[0].m
     if not math.isfinite(tol) or tol < 0.0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    if m > 6:
-        raise ValueError("chain verification is exposed for m <= 6")
+    check_int(m, game.MIN_DIMENSION, 6, "player count of a converse chain")
     rows = quantum._question_rows(m, questions)
     p_sim = quantum.winning_probability_simulated(group, rows)
     if np.any(p_sim > relaxed_win_bound(group, rows) + tol):
@@ -306,8 +303,9 @@ def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> 
     """The slack r* - lhs and the exponent of each trial of
     :func:`run_lemma2_trials`, in trial order, from one stacked pass per
     (block count, exponent) group."""
-    if max_dim_half < 1 or max_power < 1:
-        raise ValueError(f"need at least one block and one exponent, got {max_dim_half} and {max_power}")
+    check_int(trials, 0, math.inf, "trial count")
+    check_int(max_dim_half, 1, math.inf, "block count")
+    check_int(max_power, 1, math.inf, "power")
     slacks = np.empty(trials)
     powers = np.empty(trials, dtype=int)
     period = max_dim_half * max_power

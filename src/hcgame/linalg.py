@@ -8,9 +8,9 @@ single-qubit applications on statevectors and never materialises a full
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .game import check_int
 
 MAX_MATRIX_DIM = 1 << 12
 MAX_TENSOR_ENTRIES = 1 << 24
@@ -23,7 +23,6 @@ MAX_MATRIX_POWER = 64
 STACK_ENTRIES = 1 << 16
 
 OPERATOR_ATOL = 1e-9
-REFLECTION_ATOL = 1e-9
 IMAG_RESIDUE_ATOL = 1e-10
 # <psi| P |psi> for a product P of a few single-qubit Hermitian factors on a
 # statevector: no accumulated matrix products, so a tighter residue bound
@@ -104,8 +103,7 @@ def expectation(matrix, psi):
 def matpow(matrix, k: int) -> np.ndarray:
     """M^k for each M of a (K, d, d) stack, by repeated squaring; M^0 is the
     identity."""
-    if not 0 <= k <= MAX_MATRIX_POWER:
-        raise ValueError(f"exponent must be in [0, {MAX_MATRIX_POWER}], got {k}")
+    check_int(k, 0, MAX_MATRIX_POWER, "exponent")
     arr = _as_operators(matrix)
     result = np.broadcast_to(np.eye(arr.shape[-1], dtype=complex), arr.shape).copy()
     base = arr
@@ -124,7 +122,7 @@ def is_reflection(matrix) -> bool:
     {+1, -1}, i.e. M^2 = I within tolerance."""
     arr = _as_operators(matrix)
     square_excess = np.max(np.abs(arr @ arr - np.eye(arr.shape[-1])))
-    return bool(hermitian_excess(arr).max() <= REFLECTION_ATOL and square_excess <= REFLECTION_ATOL)
+    return bool(hermitian_excess(arr).max() <= OPERATOR_ATOL and square_excess <= OPERATOR_ATOL)
 
 
 def stack_chunks(items, entries_per_item: int) -> list:
@@ -161,8 +159,7 @@ def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     n = length.bit_length() - 1
     if length != 1 << n or length < 2:
         raise ValueError(f"state length {length} is not a power of two")
-    if not isinstance(qubit, numbers.Integral) or not 0 <= qubit < n:
-        raise ValueError(f"qubit must be an integer in [0, {n}) for {n} qubits, got {qubit!r}")
+    check_int(qubit, 0, n - 1, "qubit")
     g = np.asarray(gate, dtype=complex)
     if g.shape != (vec.shape[0], 2, 2):
         raise ValueError(f"expected one 2x2 gate per state, got shape {g.shape}")

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import Answer, Bits, all_questions, answer_from_masks, batch_predicate
-from .game import _facet_indices, _facet_position, _mask_bits, mask_dtype
+from .game import MIN_DIMENSION, Answer, Bits, all_questions, answer_from_masks, batch_predicate, check_int, check_masks
+from .game import _check_question, _facet_indices, _facet_position, _mask_bits, mask_dtype
 
 NS_MAX_DIMENSION = 4
 
@@ -41,12 +41,14 @@ class SparseCorrelation:
 
     @cached_property
     def mask_arrays(self) -> dict[Bits, np.ndarray]:
-        """``support`` as one (E, m) uint64 array per question, row n holding entry
-        n's masks; a mask wider than its facet (its key could alias) raises ValueError."""
+        """``support`` as one (E, m) mask array per question (``mask_dtype``), row
+        n holding entry n's masks; a mask outside the mask rule (a key could
+        alias) raises ValueError."""
         width = 1 << (self.m - 1)
-        arrays = {q: np.array(e, dtype=np.uint64).reshape(len(e), self.m) for q, e in self.support.items()}
-        if width < 64 and any((masks >> np.uint64(width)).any() for masks in arrays.values()):
-            raise ValueError(f"mask out of range for facet of size {width}")
+        arrays = {}
+        for q, entries in self.support.items():
+            check_masks(entries, width)
+            arrays[q] = np.array(entries, dtype=mask_dtype(width)).reshape(len(entries), self.m)
         return arrays
 
     def probability(self, q: Bits, masks: MaskTuple) -> Fraction:
@@ -72,9 +74,7 @@ def in_Z(answer: Answer, q: Bits) -> bool:
     multiply to (-1)^q1.  The extension test is constructive: project each
     labelled vertex onto its symmetry orbit and look for a clash.
     """
-    q = tuple(q)
-    if answer.question != q:
-        raise ValueError(f"answer was given for question {answer.question}, not {q}")
+    _check_question(answer, q)
     m = answer.m
     if (answer.assignments[0].mask.bit_count() & 1) != q[0]:
         return False
@@ -92,10 +92,8 @@ def in_Z(answer: Answer, q: Bits) -> bool:
 def build_ns_correlation(m: int) -> SparseCorrelation:
     """Enumerate the support for every question with uniform weight
     1 / 2^(2^(m-1)-1)."""
-    if not 2 <= m <= NS_MAX_DIMENSION:
-        raise ValueError(
-            f"support generation is exponential in 2^(m-1); supported m is 2..{NS_MAX_DIMENSION}"
-        )
+    # support generation is exponential in 2^(m-1)
+    check_int(m, MIN_DIMENSION, NS_MAX_DIMENSION, "player count of a no-signalling box")
     size = 1 << (m - 1)
     player1 = np.arange(1 << size, dtype=np.uint64)
     bits = _mask_bits(player1, size)
@@ -141,8 +139,7 @@ def verify_no_signalling(corr: SparseCorrelation, subset_size: int) -> bool:
     masks are: each question's keys are compared with those of the first
     question that has the same subset bits."""
     m = corr.m
-    if not 1 <= subset_size <= m:
-        raise ValueError(f"subset size must be in [1, {m}], got {subset_size}")
+    check_int(subset_size, 1, m, "subset size")
     for subset in itertools.combinations(range(m), subset_size):
         reference: dict[Bits, np.ndarray] = {}
         for q, masks in corr.mask_arrays.items():

@@ -36,8 +36,7 @@ MAXIMIZE_R_CACHE_SIZE = 1024
 
 def ghz_state(m: int) -> np.ndarray:
     """(|0...0> + |1...1>)/sqrt(2) as 2^m amplitudes."""
-    if not 2 <= m <= GHZ_MAX_QUBITS:
-        raise ValueError(f"state preparation supports 2 <= m <= {GHZ_MAX_QUBITS}, got {m}")
+    game.check_int(m, game.MIN_DIMENSION, GHZ_MAX_QUBITS, "GHZ qubit count")
     psi = np.zeros(1 << m, dtype=complex)
     psi[0] = psi[-1] = 1.0 / math.sqrt(2.0)
     return psi
@@ -67,8 +66,7 @@ class QuantumStrategy:
 
     def angle(self, player: int, question_bit: int) -> float:
         game._validate_player(self.m, player)
-        if question_bit not in (0, 1):
-            raise ValueError(f"question bit must be 0 or 1, got {question_bit}")
+        game._validate_bit(question_bit)
         if player == 1:
             return question_bit * (math.pi / 2.0)
         return self.alpha if question_bit == 0 else -self.alpha
@@ -246,10 +244,8 @@ def average_win_analytic(m: int, alpha: float) -> float:
 
 
 def check_power(power: int) -> None:
-    """Raise ValueError unless the exponent M of r is a positive integer
-    (numpy integers count)."""
-    if not isinstance(power, game.INTEGERS) or power < 1:
-        raise ValueError(f"power must be a positive integer, got {power!r}")
+    """Raise ValueError unless the exponent M of r is a positive integer."""
+    game.check_int(power, 1, math.inf, "power")
 
 
 def r_function(theta: float, power: int) -> float:

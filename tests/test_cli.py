@@ -339,6 +339,18 @@ def test_verify_lemma2_report_matches_reference(capsys, argv):
     assert out == reference
 
 
+def test_value_table_matches_reference(capsys, tmp_path):
+    # the paper's value table up to the largest m, through the player-count
+    # and power rules and maximize_r, as bytes stored under tests/reference/
+    reference = Path(__file__).parent / "reference"
+    code, out = run_cli(capsys, "values", "--m-range", "2:64", "--format", "json")
+    assert code == 0
+    assert out.encode() == (reference / "values-m-range-2-64-format-json.jsonl").read_bytes()
+    figure = tmp_path / "figure3.csv"
+    assert main(["figure3", "--m-max", "64", "--out", str(figure)]) == 0
+    assert figure.read_bytes() == (reference / "figure3-m-max-64.csv").read_bytes()
+
+
 def test_verify_lemma2_passes_at_the_largest_power(capsys):
     # (I+S)^64 has norm up to 2^64; its checks must not read that as error
     code, out = run_cli(capsys, "verify", "lemma2", "--max-power", "64")
