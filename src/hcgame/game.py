@@ -47,14 +47,21 @@ def check_masks(masks, size: int) -> None:
     an integer in [0, 2^size)."""
     if isinstance(masks, INTEGERS):
         entries = (masks,)
-    elif (arr := np.asarray(masks)).dtype.kind in "iu":
+    elif (arr := mask_array(masks)).dtype.kind in "iu":
         entries = (int(arr.min()), int(arr.max())) if arr.size else ()
     else:
-        # one by one, exactly: np.asarray([0, 2**63]) is a float array
-        entries = np.asarray(masks, dtype=object).flat
+        # one by one, exactly
+        entries = arr.flat
     hi = (1 << size) - 1
     for mask in entries:
         check_int(mask, 0, hi, "mask")
+
+
+def mask_array(masks) -> np.ndarray:
+    """Masks as an array: of numpy's integer dtype where it gives one, else of
+    the given objects, since np.asarray([0, 2**63]) is a float array."""
+    arr = np.asarray(masks)
+    return arr if arr.dtype.kind in "iu" else np.asarray(masks, dtype=object)
 
 
 def validate_dimension(m: int) -> None:
@@ -78,6 +85,8 @@ def vertex_index(bits: Bits) -> int:
 
 def vertex_bits(index: int, m: int) -> Bits:
     """Inverse of :func:`vertex_index` for an m-bit vertex."""
+    validate_dimension(m)
+    check_int(index, 0, (1 << m) - 1, "vertex index")
     return tuple((index >> (m - k)) & 1 for k in range(1, m + 1))
 
 
@@ -158,6 +167,7 @@ class FacetAssignment:
 
     @classmethod
     def from_values(cls, m: int, player: int, question_bit: int, values) -> "FacetAssignment":
+        validate_dimension(m)
         values = tuple(values)
         if len(values) != 1 << (m - 1):
             raise ValueError(f"expected {1 << (m - 1)} signs, got {len(values)}")
@@ -271,7 +281,7 @@ def _rule_checks(m: int, q: Bits, masks) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"question must have {m} bits, got {len(q)}")
     for b in q:
         _validate_bit(b)
-    masks = np.asarray(masks)
+    masks = mask_array(masks)
     if masks.ndim != 2 or masks.shape[1] != m:
         raise ValueError(f"expected an (N, {m}) integer array of masks, got {masks.dtype} {masks.shape}")
     required = [required_parity(i + 1, q[i]) for i in range(m)]
@@ -363,12 +373,15 @@ def product_over_intersection(
 
 
 def relaxed_predicate(answer: Answer, q: Bits) -> int:
-    """1 iff player 1 and each player i agree on the *product* over shared vertices.
+    """1 iff every player's parity holds and player 1 and each player i agree
+    on the *product* over shared vertices.
 
     Weaker than :func:`predicate`: vertexwise agreement implies equal
     products, not conversely.
     """
     _check_question(answer, q)
+    if not all(parity_ok(fa) for fa in answer.assignments):
+        return 0
     m = answer.m
     a1 = answer.assignments[0]
     for i in range(2, m + 1):

@@ -224,7 +224,8 @@ def relaxed_win_bound(strategies, questions) -> np.ndarray:
     """<prod_{i>=2} (I + O(q1,qi,1) O(q1,qi,i))/2> on the shared state for
     each of A strategies of one m and each of N questions: the
     product-consistency upper bound on the winning probability, as an (A, N)
-    array from one statevector stack with a row per (strategy, question)."""
+    array from one :func:`quantum.pair_products` stack with a row per
+    (strategy, question)."""
     group = quantum._strategy_list(strategies)
     m = group[0].m
     rows = quantum._question_rows(m, questions).tolist()
@@ -306,6 +307,7 @@ def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> 
     check_int(trials, 0, math.inf, "trial count")
     check_int(max_dim_half, 1, math.inf, "block count")
     check_int(max_power, 1, math.inf, "power")
+    check_int(seed, 0, math.inf, "seed")
     slacks = np.empty(trials)
     powers = np.empty(trials, dtype=int)
     period = max_dim_half * max_power

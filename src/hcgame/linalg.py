@@ -133,17 +133,11 @@ def stack_chunks(items, entries_per_item: int) -> list:
     return [items[start : start + size] for start in range(0, len(items), size)]
 
 
-def _check_amplitudes(count: int) -> None:
+def check_amplitudes(count: int) -> None:
+    """Raise ValueError if a state or stack of states of ``count`` amplitudes
+    in all would exceed MAX_STATE_AMPLITUDES."""
     if count > MAX_STATE_AMPLITUDES:
         raise ValueError(f"{count} amplitudes in all exceed cap {MAX_STATE_AMPLITUDES}")
-
-
-def tile_state(psi, rows: int) -> np.ndarray:
-    """``rows`` copies of one state as a (rows, 2^n) stack, under the same cap
-    on all its amplitudes as :func:`apply_single_qubit`."""
-    vec = np.asarray(psi, dtype=complex).reshape(-1)
-    _check_amplitudes(rows * vec.size)
-    return np.tile(vec, (rows, 1))
 
 
 def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
@@ -154,7 +148,7 @@ def apply_single_qubit(psi, gate, qubit: int) -> np.ndarray:
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim != 2 or vec.size == 0:
         raise ValueError(f"expected a non-empty stack of states, got shape {vec.shape}")
-    _check_amplitudes(vec.size)
+    check_amplitudes(vec.size)
     length = vec.shape[-1]
     n = length.bit_length() - 1
     if length != 1 << n or length < 2:

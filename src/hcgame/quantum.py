@@ -7,6 +7,11 @@ first player and (-1)^qi * alpha for the rest; outcomes are turned into
 facet labels by pinning four distinguished vertices and filling the rest
 with +1.  Averaged over questions the strategy wins with probability
 [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, maximised over a.
+
+The simulation kernels carry the GHZ state as its two branches, from |0...0>
+and |1...1>, over the qubits their gates have touched; the last gate joins
+them into the 2^m row.  Every amplitude takes the floating-point steps of a
+full statevector stack, less the products with its exact zeros.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import game
 from .game import Answer, Bits, FacetAssignment
-from .linalg import OVERLAP_IMAG_ATOL, apply_single_qubit, real_part, tile_state
+from .linalg import OVERLAP_IMAG_ATOL, apply_single_qubit, check_amplitudes, real_part
 
 GHZ_MAX_QUBITS = 12
 GRID_POINTS = 4096
@@ -132,10 +137,17 @@ def _player_gates(strategies: list[QuantumStrategy], player: int, rows: np.ndarr
     return tables[:, rows[:, player - 1]].reshape(-1, 2, 2)
 
 
+def _grow(gates: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """Gates on the next qubit of an (N, 2, w) stack of branches, as (N, 2, w,
+    2): that qubit is c in branch c, so only column c of a gate enters.  In C
+    order, so that merging the last two axes is a view, not a copy."""
+    return np.multiply(gates.swapaxes(1, 2)[:, :, None, :], branches[..., None], order="C")
+
+
 def outcome_distribution(strategies, questions) -> np.ndarray:
     """All 2^m outcome probabilities for each of A strategies of one m and
-    each of N questions, as an (A, N, 2^m) array from one statevector stack
-    with a row per (strategy, question).
+    each of N questions, as an (A, N, 2^m) array with a row per (strategy,
+    question); the branches grow 2, 4, ..., 2^(m-1) wide.
 
     Each qubit is rotated into the eigenbasis of its observable, so index
     bit k = 0 corresponds to outcome +1 for player k+1 (big-endian, same
@@ -144,11 +156,18 @@ def outcome_distribution(strategies, questions) -> np.ndarray:
     group = _strategy_list(strategies)
     m = group[0].m
     rows = _question_rows(m, questions)
-    psi = tile_state(ghz_state(m), len(group) * rows.shape[0])
-    for player in range(1, m + 1):
-        gates = _player_gates(group, player, rows, _basis_entries)
-        psi = apply_single_qubit(psi, gates, player - 1)
-    return (np.abs(psi) ** 2).reshape(len(group), rows.shape[0], -1)
+    n = len(group) * rows.shape[0]
+    check_amplitudes(n << m)
+    # branch c before any gate: the amplitude of |c...c>
+    branches = np.broadcast_to(ghz_state(m)[[0, -1], None], (n, 2, 1))
+    for player in range(1, m):
+        branches = _grow(_player_gates(group, player, rows, _basis_entries), branches).reshape(n, 2, -1)
+    # the last gate joins the branches on the stack's top qubit, so that qubit
+    # is the last player's: |amplitude|^2 moves it back to the low bit
+    psi = apply_single_qubit(branches.reshape(n, -1), _player_gates(group, m, rows, _basis_entries), 0)
+    probs = np.abs(psi.reshape(n, 2, -1).swapaxes(1, 2), out=np.empty((n, 1 << (m - 1), 2)))
+    probs **= 2
+    return probs.reshape(len(group), rows.shape[0], -1)
 
 
 def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
@@ -205,19 +224,32 @@ def winning_probability_simulated(strategies, questions) -> np.ndarray:
 
 def pair_products(m: int, n: int, pairs) -> np.ndarray:
     """<psi| prod_{i>=2} (I + A_i B_i)/2 |psi> on the GHZ state psi for each
-    of n rows, one statevector row each.  ``pairs`` yields (A_i, B_i) for
-    i = 2..m in turn: (n, 2, 2) stacks acting on qubit 1 and on qubit i."""
+    of n rows.  ``pairs`` yields (A_i, B_i) for i = 2..m in turn: (n, 2, 2)
+    stacks acting on qubit 1 and on qubit i.  Before pair i, the branches
+    span qubits 0..i-2, and qubits i-1..m-1 equal c in branch c."""
     psi = ghz_state(m)
-    acc = tile_state(psi, n)
+    check_amplitudes(n << m)
+    acc = np.zeros((n, 2, 2), dtype=complex)
+    acc[:, 0, 0], acc[:, 1, 1] = psi[0], psi[-1]
     for i, (first, other) in enumerate(pairs, start=2):
-        tmp = apply_single_qubit(acc, first, 0)
-        tmp = apply_single_qubit(tmp, other, i - 1)
-        # (acc + tmp) / 2 in tmp's memory, so no third stack is allocated
-        tmp += acc
+        # the branch index is the stack's top qubit, so qubit 0 is its qubit 1
+        tmp = apply_single_qubit(acc.reshape(n, -1), first, 1)
+        if i < m:
+            tmp = _grow(other, tmp.reshape(n, 2, -1))
+            # in branch c, acc's qubit i-1 equals c
+            for c in (0, 1):
+                tmp[:, c, :, c] += acc[:, c]
+        else:
+            # joined on the top qubit: the 2^m row with qubit m-1 moved to
+            # the top, where acc's branch c has it equal to c
+            tmp = apply_single_qubit(tmp, other, 0)
+            tmp += acc.reshape(n, -1)
+        # (acc + tmp) / 2 in tmp's memory
         tmp /= 2.0
-        acc = tmp
-    # a (1, 2^m) by (2^m, 1) product per row: the same dot as np.vdot(psi, row)
-    return real_part((psi.conj() @ acc[:, :, None])[:, 0], OVERLAP_IMAG_ATOL)
+        acc = tmp.reshape(n, 2, -1)
+    # a (1, 2^m) by (2^m, 1) product per row: the same dot as np.vdot(psi, row),
+    # as moving qubit m-1 to the top leaves psi's two entries in place
+    return real_part((psi.conj() @ acc.reshape(n, -1, 1))[:, 0], OVERLAP_IMAG_ATOL)
 
 
 def winning_probability_operator(strategies, questions) -> np.ndarray:

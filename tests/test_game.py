@@ -11,6 +11,7 @@ from hcgame.game import (
     Answer,
     FacetAssignment,
     all_answers,
+    all_questions,
     answer_from_masks,
     batch_predicate,
     chsh_bit_embedding,
@@ -238,6 +239,19 @@ def test_predicate_below_relaxed_exhaustive_m2():
     for q in itertools.product((0, 1), repeat=2):
         for a in all_answers(2, q):
             assert predicate(a, q) <= relaxed_predicate(a, q)
+            # the relaxation keeps the parity rule
+            if not all(parity_ok(fa) for fa in a.assignments):
+                assert relaxed_predicate(a, q) == 0
+
+
+def test_relaxed_predicate_enforces_parity():
+    # the all-+1 answer has equal products everywhere, so only player 1's
+    # parity (-1)^q1 can make it lose
+    for m in (2, 3):
+        for q in all_questions(m):
+            all_plus = answer_from_masks(m, q, (0,) * m)
+            assert relaxed_predicate(all_plus, q) == 1 - q[0]
+            assert predicate(all_plus, q) == 1 - q[0]
 
 
 def test_predicate_below_relaxed_random_m3_m4():

@@ -24,6 +24,9 @@ SITES = [
     ("game._validate_player", lambda i: game._validate_player(3, i), 1, 3),
     ("FacetAssignment.m", lambda m: FacetAssignment(m, 1, 0, 0), 2, game.MAX_DIMENSION),
     ("FacetAssignment.player", lambda i: FacetAssignment(3, i, 0, 0), 1, 3),
+    ("FacetAssignment.from_values m", lambda m: FacetAssignment.from_values(m, 1, 0, (1, 1)), 2, game.MAX_DIMENSION),
+    ("game.vertex_bits index", lambda e: game.vertex_bits(e, 2), 0, 3),
+    ("game.vertex_bits m", lambda m: game.vertex_bits(0, m), 2, game.MAX_DIMENSION),
     ("game.intersection_mask", lambda i: game.intersection_mask(3, 1, 0, 0, i, 0), 2, 3),
     (
         "game.product_over_intersection",
@@ -47,6 +50,7 @@ SITES = [
     ("lemma2_slacks trials", lambda n: inequalities.lemma2_slacks(n, 1, 1, 0), 0, math.inf),
     ("lemma2_slacks max_dim_half", lambda k: inequalities.lemma2_slacks(2, k, 1, 0), 1, math.inf),
     ("lemma2_slacks max_power", lambda p: inequalities.lemma2_slacks(2, 1, p, 0), 1, math.inf),
+    ("inequalities.run_lemma2_trials seed", lambda seed: inequalities.run_lemma2_trials(2, seed=seed), 0, math.inf),
     (
         "inequalities.verify_converse_chain",
         lambda m: inequalities.verify_converse_chain([QuantumStrategy(m, 0.3)], [(0, 0)]),
@@ -88,6 +92,14 @@ def test_masks_are_integers_of_their_facet():
         game.batch_predicate(2, (1, 0), np.array([[1.0, 3.0]]))
     # past 63 bits a Python list would otherwise become a float array
     assert game.win_table(8, (0,) * 8, [[0, 1 << 63]] * 8).shape == (2,) * 8
+    mixed = [[1 << 63, 0, 0, 0, 0, 0, 0], [0, 3, 1 << 62, 0, 0, 0, 5]]
+    for q in ((0,) * 7, (1, 0, 1, 1, 0, 0, 1)):
+        wins = game.batch_predicate(7, q, mixed)
+        assert np.array_equal(wins, game.batch_predicate(7, q, np.array(mixed, dtype=np.uint64)))
+    with pytest.raises(ValueError, match="mask"):
+        game.batch_predicate(7, (0,) * 7, [[1 << 64, 0, 0, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match="mask"):
+        game.batch_predicate(7, (0,) * 7, [[1.0, 0, 0, 0, 0, 0, 0]])
 
 
 @pytest.mark.parametrize(

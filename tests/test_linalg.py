@@ -8,6 +8,7 @@ from hcgame.linalg import (
     MAX_STATE_AMPLITUDES,
     RowError,
     apply_single_qubit,
+    check_amplitudes,
     expectation,
     hermitian_excess,
     is_reflection,
@@ -15,7 +16,6 @@ from hcgame.linalg import (
     real_part,
     stack_chunks,
     tensor,
-    tile_state,
 )
 from hcgame.quantum import ghz_state, z_theta
 
@@ -264,9 +264,10 @@ def test_apply_single_qubit_caps_the_whole_stack():
     stack = np.broadcast_to(np.zeros(row, dtype=complex), (rows + 1, row))
     with pytest.raises(ValueError, match="amplitudes"):
         apply_single_qubit(stack, np.broadcast_to(z_theta(0.3), (rows + 1, 2, 2)), 0)
+    # the check the GHZ kernels make before building any stack
     with pytest.raises(ValueError, match="amplitudes"):
-        tile_state(ghz_state(12), rows + 1)
-    assert tile_state(ghz_state(2), 3).shape == (3, 4)
+        check_amplitudes((rows + 1) * row)
+    check_amplitudes(rows * row)
 
 
 def test_apply_single_qubit_on_a_stack_equals_row_by_row():

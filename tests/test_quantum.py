@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hcgame import game, linalg, quantum
+from hcgame import game, inequalities, linalg, quantum
 from hcgame.game import Answer, FacetAssignment, all_questions, parity_ok, predicate
 from hcgame.linalg import apply_single_qubit, is_reflection
 from hcgame.quantum import (
@@ -425,6 +425,70 @@ def test_kernels_refuse_a_stack_above_the_amplitude_cap():
     for fn in (outcome_distribution, winning_probability_simulated, winning_probability_operator):
         with pytest.raises(ValueError, match="amplitudes"):
             fn([QuantumStrategy(12, 0.3)], questions)
+
+
+def _full_stack_distribution(strategies, questions):
+    # the oracle: every gate on a full 2^m statevector row per (strategy, question)
+    m = strategies[0].m
+    rows = np.array(questions, dtype=np.int64)
+    psi = np.tile(ghz_state(m), (len(strategies) * len(questions), 1))
+    for player in range(1, m + 1):
+        psi = apply_single_qubit(psi, quantum._player_gates(strategies, player, rows, quantum._basis_entries), player - 1)
+    return (np.abs(psi) ** 2).reshape(len(strategies), len(questions), -1)
+
+
+def _full_stack_pair_products(m, n, pairs):
+    # the oracle of quantum.pair_products, on full 2^m statevector rows
+    psi = ghz_state(m)
+    acc = np.tile(psi, (n, 1))
+    for i, (first, other) in enumerate(pairs, start=2):
+        tmp = apply_single_qubit(apply_single_qubit(acc, first, 0), other, i - 1)
+        tmp += acc
+        tmp /= 2.0
+        acc = tmp
+    return quantum.real_part((psi.conj() @ acc[:, :, None])[:, 0], linalg.OVERLAP_IMAG_ATOL)
+
+
+def _branch_kernels_and_full_stack_oracle(monkeypatch, m, strategies):
+    questions = list(all_questions(m))
+    kernels = (
+        outcome_distribution(strategies, questions),
+        winning_probability_operator(strategies, questions),
+        inequalities.relaxed_win_bound(strategies, questions),
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(quantum, "pair_products", _full_stack_pair_products)
+        oracle = (
+            _full_stack_distribution(strategies, questions),
+            winning_probability_operator(strategies, questions),
+            inequalities.relaxed_win_bound(strategies, questions),
+        )
+    return kernels, oracle
+
+
+def test_branch_kernels_equal_the_full_statevector_stack_bit_for_bit(monkeypatch):
+    for m in range(2, 8):
+        kernels, oracle = _branch_kernels_and_full_stack_oracle(monkeypatch, m, _sweep(m, 6))
+        for got, want in zip(kernels, oracle):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_branch_kernels_equal_the_full_statevector_stack_on_complex_gates(monkeypatch):
+    # complex, non-Hermitian gates and edge observables: the amplitudes and
+    # the overlaps are complex, and the overlaps are compared whole
+    monkeypatch.setattr(quantum, "_z_entries", _twisted_z_entries)
+    monkeypatch.setattr(quantum, "_basis_entries", _twisted_z_entries)
+    monkeypatch.setattr(quantum, "real_part", lambda values, atol: np.asarray(values))
+    inequalities.induced_edge_observable.cache_clear()
+    try:
+        for m in range(2, 8):
+            kernels, oracle = _branch_kernels_and_full_stack_oracle(monkeypatch, m, _sweep(m, 6))
+            assert np.iscomplexobj(kernels[1]) and np.abs(kernels[1].imag).max() > 1e-3
+            for got, want in zip(kernels, oracle):
+                assert np.array_equal(got, want)
+    finally:
+        inequalities.induced_edge_observable.cache_clear()
 
 
 def _operator_loop_with_signs(strategy, questions):
