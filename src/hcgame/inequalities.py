@@ -160,6 +160,11 @@ def random_constrained_pairs(dim_half: int, seeds) -> ConstrainedPair:
     sqrt(1-b^2) times a random real reflection, giving non-commuting S, T
     for generic draws."""
     check_int(dim_half, 1, math.inf, "block count")
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must name at least one seed")
+    for seed in seeds:
+        check_int(seed, 0, math.inf, "seed")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # each generator draws its betas, then its phis
     betas = np.array([rng.uniform(0.0, 1.0, dim_half) for rng in rngs])

@@ -3,6 +3,8 @@ import errno
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hcgame
 from hcgame import cli, inequalities, linalg, quantum
 from hcgame.classical import classical_value_formula
 from hcgame.cli import (
@@ -626,3 +629,48 @@ def test_whole_runs_keep_the_exit_code_contract(argv):
         assert "usage:" in stderr.getvalue(), argv
     elif argv[0] == "verify":
         assert json.loads(stdout.getvalue())["pass"] is (code == 0), argv
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _child(args, **preset):
+    """A fresh interpreter with none of the BLAS thread variables but
+    ``preset`` (this process imported hcgame, so its own environment holds
+    the default), and this checkout's package first on the path."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(hcgame.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=False)
+
+
+def _blas_env_after(imports, **preset):
+    """The BLAS thread variables a fresh child sees after ``import <imports>``."""
+    code = f"import {imports}, json, os, sys; print(json.dumps([os.environ.get(name) for name in sys.argv[1:]]))"
+    child = _child(["-c", code, *BLAS_THREADS], **preset)
+    assert child.returncode == 0, child.stderr
+    return dict(zip(BLAS_THREADS, json.loads(child.stdout)))
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task to count threads")
+def test_a_fresh_cli_process_runs_one_thread():
+    child = _child(["-c", "import os, hcgame.cli; print(len(os.listdir('/proc/self/task')))"])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("name", BLAS_THREADS)
+def test_a_user_set_blas_thread_count_wins(name):
+    assert _blas_env_after("hcgame.cli", **{name: "2"}) == {other: "2" if other == name else None for other in BLAS_THREADS}
+
+
+def test_hcgame_imported_after_numpy_leaves_the_environment_alone():
+    assert _blas_env_after("numpy, hcgame") == dict.fromkeys(BLAS_THREADS)
+    assert _blas_env_after("hcgame") == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    argv = ["-m", "hcgame.cli", "verify", "all", "--quick"]
+    default, two = _child(argv), _child(argv, OPENBLAS_NUM_THREADS="2")
+    assert default.stdout and default.returncode in (0, 1), default.stderr
+    assert (two.stdout, two.returncode) == (default.stdout, default.returncode)

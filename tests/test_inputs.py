@@ -47,6 +47,7 @@ SITES = [
         3,
     ),
     ("inequalities.random_constrained_pairs", lambda k: inequalities.random_constrained_pairs(k, [1]), 1, math.inf),
+    ("random_constrained_pairs seed", lambda seed: inequalities.random_constrained_pairs(1, [seed]), 0, math.inf),
     ("lemma2_slacks trials", lambda n: inequalities.lemma2_slacks(n, 1, 1, 0), 0, math.inf),
     ("lemma2_slacks max_dim_half", lambda k: inequalities.lemma2_slacks(2, k, 1, 0), 1, math.inf),
     ("lemma2_slacks max_power", lambda p: inequalities.lemma2_slacks(2, 1, p, 0), 1, math.inf),
@@ -74,6 +75,11 @@ def test_every_count_index_and_exponent_is_an_integer_in_range(call, lo, hi):
             call(value)
     # numpy integers count
     call(np.int64(lo))
+
+
+def test_an_empty_seed_list_is_refused():
+    with pytest.raises(ValueError, match="seeds"):
+        inequalities.random_constrained_pairs(1, [])
 
 
 def test_masks_are_integers_of_their_facet():
