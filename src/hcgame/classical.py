@@ -20,6 +20,7 @@ from .game import (
     check_int,
     check_player_count,
     predicate,
+    question_rows,
     required_parity,
     validate_dimension,
     win_table,
@@ -45,7 +46,8 @@ class DeterministicStrategy:
                     )
 
     def answer(self, q) -> Answer:
-        return Answer(tuple(self.choices[i][q[i]] for i in range(self.m)))
+        [q] = question_rows(self.m, [q]).tolist()
+        return Answer(tuple(pair[bit] for pair, bit in zip(self.choices, q)))
 
     def masks(self) -> tuple[int, ...]:
         """Flat mask tuple (player 1 bit 0, player 1 bit 1, ...); the canonical key."""
@@ -132,10 +134,10 @@ def brute_force_classical_value(
     return Fraction(wins, 1 << m), DeterministicStrategy(m, choices)
 
 
-def enumerate_strategies(m: int, restrict_parity: bool = False):
+def enumerate_strategies(m: int):
     """Every deterministic strategy, as an iterator; practical for m = 2 only."""
     check_int(m, MIN_DIMENSION, 2, "player count of the strategy enumeration")
-    candidates = _candidate_masks(m, restrict_parity)
+    candidates = _candidate_masks(m, restrict_parity=False)
     pools = [
         [
             (FacetAssignment(m, p + 1, 0, m0), FacetAssignment(m, p + 1, 1, m1))

@@ -145,14 +145,12 @@ def verify_quantum(m_values, alpha_samples: int, tol: float, seed: int) -> dict:
         analytic = 0.0
         questions = list(all_questions(m))
         for strategies in _strategy_chunks(m, alpha_samples, questions):
-            sims = quantum.winning_probability_simulated(strategies, questions).tolist()
-            ops = quantum.winning_probability_operator(strategies, questions).tolist()
-            for strategy, sim_row, op_row in zip(strategies, sims, ops):
-                total = 0.0
-                # summed in question order, one alpha at a time, as the report's digits depend on it
-                for sim, op in zip(sim_row, op_row):
-                    cross = max(cross, abs(sim - op))
-                    total += sim
+            sims = quantum.winning_probability_simulated(strategies, questions)
+            ops = quantum.winning_probability_operator(strategies, questions)
+            cross = max(cross, float(np.abs(sims - ops).max()))
+            # cumsum adds left to right in question order, as the report's digits depend on it
+            totals = np.cumsum(sims, axis=1)[:, -1].tolist()
+            for strategy, total in zip(strategies, totals):
                 analytic = max(analytic, abs(total / 2 ** m - average_win_analytic(m, strategy.alpha)))
         return cross, analytic
 

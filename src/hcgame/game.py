@@ -69,17 +69,32 @@ def validate_dimension(m: int) -> None:
     check_int(m, MIN_DIMENSION, MAX_DIMENSION, "player count")
 
 
-def _validate_bit(b, what: str = "question bit") -> None:
+def check_bit(b, what: str = "question bit") -> int:
+    """The one bit rule: any value equal to 0 or 1 (1.0, True and np.int64(1)
+    count) is a bit, returned as an int; anything else raises ValueError."""
     if b not in (0, 1):
         raise ValueError(f"{what} must be 0 or 1, got {b}")
+    return int(b == 1)
+
+
+def question_rows(m: int, questions) -> np.ndarray:
+    """The one question rule: questions as an (N, m) int64 array of bits;
+    raises ValueError unless there is at least one, each has m entries and
+    every entry equals 0 or 1.  One question q is ``question_rows(m, [q])``."""
+    given = np.array(questions)
+    if given.ndim != 2 or given.shape[0] == 0 or given.shape[1] != m:
+        raise ValueError(f"expected one or more questions of {m} bits, got shape {given.shape}")
+    ones = given == 1
+    if not (ones | (given == 0)).all():
+        raise ValueError("question bits must be 0 or 1")
+    return ones.astype(np.int64)
 
 
 def vertex_index(bits: Bits) -> int:
     """Big-endian integer encoding: (x1, ..., xm) -> sum of xk * 2^(m-k)."""
     index = 0
     for b in bits:
-        _validate_bit(b, "vertex bit")
-        index = (index << 1) | int(b == 1)
+        index = (index << 1) | check_bit(b, "vertex bit")
     return index
 
 
@@ -96,39 +111,38 @@ def check_player_count(m: int) -> None:
     check_int(m, MIN_DIMENSION, math.inf, "player count")
 
 
-def _validate_player(m: int, i: int) -> None:
-    check_int(i, 1, m, "player index")
-
-
 # typed caches, so a float such as 2.0 is checked instead of hitting the entry of 2
 @lru_cache(maxsize=None, typed=True)
 def _facet_indices(m: int, i: int, q: int) -> tuple[int, ...]:
     validate_dimension(m)
-    _validate_player(m, i)
-    _validate_bit(q)
+    check_int(i, 1, m, "player index")
+    q = check_bit(q)
     shift = m - i
     return tuple(e for e in range(1 << m) if (e >> shift) & 1 == q)
 
 
-@lru_cache(maxsize=None, typed=True)
-def _facet_position(m: int, i: int, q: int) -> dict[int, int]:
-    return {e: k for k, e in enumerate(_facet_indices(m, i, q))}
-
-
-@lru_cache(maxsize=None, typed=True)
-def intersection_mask(m: int, player: int, question_bit: int, q1: int, i: int, q_i: int) -> int:
-    """Bit k set iff vertex k of the player's facet {x_player = question_bit}
-    (facet order) lies on both player 1's facet {x_1 = q1} and player i's
-    facet {x_i = q_i}: the slots an intersection product multiplies."""
+def facet_slot(m: int, player: int, vertex: int) -> int:
+    """The one layout rule: the mask bit that labels a vertex (given by its
+    index) on the player's facet, which is the vertex index with the player's
+    coordinate removed.  It numbers the facet's vertices in ascending order."""
     validate_dimension(m)
-    for b in (question_bit, q1, q_i):
-        _validate_bit(b)
+    check_int(player, 1, m, "player index")
+    check_int(vertex, 0, (1 << m) - 1, "vertex index")
+    shift = m - player
+    return (vertex >> (shift + 1)) << shift | vertex & ((1 << shift) - 1)
+
+
+@lru_cache(maxsize=None, typed=True)
+def intersection_mask(m: int, player: int, q1: int, i: int, q_i: int) -> int:
+    """Bit k set iff slot k of the player's facet (player 1's {x_1 = q1} or
+    player i's {x_i = q_i}) holds a vertex of both facets: the slots an
+    intersection product multiplies."""
+    validate_dimension(m)
     check_int(i, 2, m, "intersection partner")
-    _validate_player(m, player)
-    cube = np.zeros((2,) * m, dtype=bool)
-    cube[(q1,) + (slice(None),) * (i - 2) + (q_i,)] = True
-    facet = cube.take(question_bit, axis=player - 1)
-    return int.from_bytes(np.packbits(facet, bitorder="little").tobytes(), "little")
+    if player not in (1, i):
+        raise ValueError(f"player {player} is neither player 1 nor intersection partner {i}")
+    shared = set(_facet_indices(m, i, q_i))
+    return sum(1 << facet_slot(m, player, e) for e in _facet_indices(m, 1, q1) if e in shared)
 
 
 def facet_vertices(m: int, i: int, q_i: int) -> list[Bits]:
@@ -138,7 +152,7 @@ def facet_vertices(m: int, i: int, q_i: int) -> list[Bits]:
 
 def intersection_vertices(m: int, q1: int, i: int, q_i: int) -> list[Bits]:
     """The 2^(m-2) vertices shared by player 1's and player i's facets."""
-    mask = intersection_mask(m, 1, q1, q1, i, q_i)
+    mask = intersection_mask(m, 1, q1, i, q_i)
     return [v for k, v in enumerate(facet_vertices(m, 1, q1)) if mask >> k & 1]
 
 
@@ -157,8 +171,8 @@ class FacetAssignment:
 
     def __post_init__(self):
         validate_dimension(self.m)
-        _validate_player(self.m, self.player)
-        _validate_bit(self.question_bit)
+        check_int(self.player, 1, self.m, "player index")
+        object.__setattr__(self, "question_bit", check_bit(self.question_bit))
         check_masks(self.mask, self.size)
 
     @property
@@ -187,12 +201,10 @@ class FacetAssignment:
     def value_at(self, vertex: Bits) -> int:
         if len(vertex) != self.m:
             raise ValueError(f"expected a vertex of {self.m} bits, got {vertex}")
-        pos = _facet_position(self.m, self.player, self.question_bit).get(
-            vertex_index(vertex)
-        )
-        if pos is None:
+        index = vertex_index(vertex)
+        if vertex[self.player - 1] != self.question_bit:
             raise ValueError(f"vertex {vertex} is not on this facet")
-        return 1 - 2 * ((self.mask >> pos) & 1)
+        return 1 - 2 * ((self.mask >> facet_slot(self.m, self.player, index)) & 1)
 
 
 @dataclass(frozen=True)
@@ -223,16 +235,18 @@ class Answer:
 
 
 def answer_from_masks(m: int, q: Bits, masks) -> Answer:
-    return Answer(
-        tuple(
-            FacetAssignment(m, i + 1, q[i], masks[i]) for i in range(m)
-        )
-    )
+    """The answer giving player i+1 the facet mask masks[i]."""
+    [q] = question_rows(m, [q]).tolist()
+    pairs = enumerate(zip(q, masks, strict=True), start=1)
+    return Answer(tuple(FacetAssignment(m, player, bit, mask) for player, (bit, mask) in pairs))
 
 
-def _check_question(answer: Answer, q: Bits) -> None:
-    if answer.question != tuple(q):
-        raise ValueError(f"answer was given for question {answer.question}, not {tuple(q)}")
+def _check_question(answer: Answer, q: Bits) -> Bits:
+    """q as a tuple of int bits; raises ValueError unless the answer was given for it."""
+    q = tuple(question_rows(answer.m, [q]).tolist()[0])
+    if answer.question != q:
+        raise ValueError(f"answer was given for question {answer.question}, not {q}")
+    return q
 
 
 def required_parity(player: int, question_bit: int) -> int:
@@ -276,11 +290,7 @@ def _rule_checks(m: int, q: Bits, masks) -> tuple[np.ndarray, np.ndarray]:
     an (N, 2^m) label grid, not through intersection products).
     """
     validate_dimension(m)
-    q = tuple(q)
-    if len(q) != m:
-        raise ValueError(f"question must have {m} bits, got {len(q)}")
-    for b in q:
-        _validate_bit(b)
+    [q] = question_rows(m, [q]).tolist()
     masks = mask_array(masks)
     if masks.ndim != 2 or masks.shape[1] != m:
         raise ValueError(f"expected an (N, {m}) integer array of masks, got {masks.dtype} {masks.shape}")
@@ -296,8 +306,8 @@ def _rule_checks(m: int, q: Bits, masks) -> tuple[np.ndarray, np.ndarray]:
         # label, 2 for a -1 label; OR over players gives 3 where two disagree
         grid = np.zeros((n, m, 1 << m), dtype=np.uint8)
         for i in range(m):
-            # facet vertices in increasing index order are the cube with
-            # axis i fixed to q_i, so facet bit k lands by a strided copy
+            # facet_slot numbers the facet in increasing vertex order, so the
+            # cube with axis i fixed to q_i takes facet bit k by a strided copy
             high, low = 1 << i, 1 << (m - 1 - i)
             cube = grid.reshape(n, m, high, 2, low)
             cube[:, i, :, q[i], :] = bits[:, i].reshape(n, high, low) + 1
@@ -354,6 +364,7 @@ def product_over_intersection(
     otherwise).
     """
     m = assignment.m
+    q1, q_i = check_bit(q1), check_bit(q_i)
     if assignment.player == 1:
         if assignment.question_bit != q1:
             raise ValueError("facet is disjoint from the requested intersection")
@@ -368,7 +379,7 @@ def product_over_intersection(
             raise ValueError("partner does not match the assignment's player")
         if assignment.question_bit != q_i:
             raise ValueError("facet is disjoint from the requested intersection")
-    shared = intersection_mask(m, assignment.player, assignment.question_bit, q1, i, q_i)
+    shared = intersection_mask(m, assignment.player, q1, i, q_i)
     return -1 if (assignment.mask & shared).bit_count() & 1 else 1
 
 
@@ -379,7 +390,7 @@ def relaxed_predicate(answer: Answer, q: Bits) -> int:
     Weaker than :func:`predicate`: vertexwise agreement implies equal
     products, not conversely.
     """
-    _check_question(answer, q)
+    q = _check_question(answer, q)
     if not all(parity_ok(fa) for fa in answer.assignments):
         return 0
     m = answer.m
@@ -399,11 +410,8 @@ def chsh_bit_embedding(a1: int, a2: int, q: Bits) -> Answer:
     labels {(0,q2),(1,q2)} with {s2, s2}, where sk = (-1)^ak.  With this
     embedding the game is won exactly when a1 XOR a2 equals q1*q2.
     """
-    q = tuple(q)
-    if len(q) != 2:
-        raise ValueError("bit embedding is defined for the two-player game only")
-    _validate_bit(a1)
-    _validate_bit(a2)
+    [q] = question_rows(2, [q]).tolist()
+    a1, a2 = check_bit(a1, "answer bit"), check_bit(a2, "answer bit")
     s1 = 1 - 2 * a1
     s2 = 1 - 2 * a2
     first = FacetAssignment.from_values(2, 1, q[0], (s1, -s1 if q[0] else s1))
@@ -424,6 +432,7 @@ def all_answers(m: int, q: Bits):
     capped where they stay cheap.
     """
     check_int(m, MIN_DIMENSION, ENUMERATION_MAX_DIMENSION, "player count of an answer enumeration")
+    [q] = question_rows(m, [q]).tolist()
     masks = itertools.product(range(1 << (1 << (m - 1))), repeat=m)
     return (answer_from_masks(m, q, row) for row in masks)
 

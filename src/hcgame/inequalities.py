@@ -91,10 +91,11 @@ def induced_edge_observable(
     returned operator is read-only because every caller shares it.
     """
     m = strategy.m
+    q1, qi = game.check_bit(q1), game.check_bit(qi)
     own_bit, partner = (q1, 2) if owner == 1 else (qi, owner)
     # raises ValueError unless the owner is a player of the strategy
     observable = strategy.observable(owner, own_bit)
-    shared = game.intersection_mask(m, owner, own_bit, q1, partner, qi)
+    shared = game.intersection_mask(m, owner, q1, partner, qi)
     eye = np.eye(2, dtype=complex)
     operator = np.zeros((2, 2), dtype=complex)
     for o, minus in ((1, 0), (-1, 1)):
@@ -233,7 +234,7 @@ def relaxed_win_bound(strategies, questions) -> np.ndarray:
     (strategy, question)."""
     group = quantum._strategy_list(strategies)
     m = group[0].m
-    rows = quantum._question_rows(m, questions).tolist()
+    rows = game.question_rows(m, questions).tolist()
 
     def edges(owner: int, i: int) -> np.ndarray:
         bits = [(q[0], q[i - 1]) for q in rows]
@@ -255,7 +256,7 @@ def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> 
     if not math.isfinite(tol) or tol < 0.0:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     check_int(m, game.MIN_DIMENSION, 6, "player count of a converse chain")
-    rows = quantum._question_rows(m, questions)
+    rows = game.question_rows(m, questions)
     p_sim = quantum.winning_probability_simulated(group, rows)
     if np.any(p_sim > relaxed_win_bound(group, rows) + tol):
         return False

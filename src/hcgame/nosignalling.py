@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .game import MIN_DIMENSION, Answer, Bits, all_questions, answer_from_masks, batch_predicate, check_int, check_masks
-from .game import _check_question, _facet_indices, _facet_position, _mask_bits, mask_dtype
+from .game import _check_question, _facet_indices, _mask_bits, facet_slot, mask_dtype
 
 NS_MAX_DIMENSION = 4
 
@@ -61,20 +61,16 @@ class SparseCorrelation:
             yield answer_from_masks(self.m, tuple(q), masks)
 
 
-def _first_coordinate_rep(encoding: int, m: int) -> int:
-    # orbit representative under flipping x1: drop the top bit
-    return encoding & ((1 << (m - 1)) - 1)
-
-
 def in_Z(answer: Answer, q: Bits) -> bool:
     """Membership test for the support set.
 
     True iff some globally consistent labelling, symmetric in the first
     coordinate, extends every player's facet labels, and player 1's labels
     multiply to (-1)^q1.  The extension test is constructive: project each
-    labelled vertex onto its symmetry orbit and look for a clash.
+    labelled vertex onto its symmetry orbit, named by its slot on player 1's
+    facet, and look for a clash.
     """
-    _check_question(answer, q)
+    q = _check_question(answer, q)
     m = answer.m
     if (answer.assignments[0].mask.bit_count() & 1) != q[0]:
         return False
@@ -83,8 +79,7 @@ def in_Z(answer: Answer, q: Bits) -> bool:
         indices = _facet_indices(m, fa.player, fa.question_bit)
         for pos, encoding in enumerate(indices):
             sign = 1 - 2 * ((fa.mask >> pos) & 1)
-            rep = _first_coordinate_rep(encoding, m)
-            if orbit.setdefault(rep, sign) != sign:
+            if orbit.setdefault(facet_slot(m, 1, encoding), sign) != sign:
                 return False
     return True
 
@@ -101,11 +96,11 @@ def build_ns_correlation(m: int) -> SparseCorrelation:
     support: dict[Bits, tuple[MaskTuple, ...]] = {}
     for q in all_questions(m):
         rows = (bits.sum(axis=1) & 1) == q[0]
-        pos1 = _facet_position(m, 1, q[0])
         columns = [player1[rows]]
         for i in range(2, m + 1):
-            # each vertex of player i's facet takes player 1's label on its x1-flip orbit
-            source = [pos1[_first_coordinate_rep(e, m) | (q[0] << (m - 1))] for e in _facet_indices(m, i, q[i - 1])]
+            # each vertex of player i's facet takes player 1's label on its
+            # x1-flip orbit, which sits in the vertex's player-1 slot
+            source = [facet_slot(m, 1, e) for e in _facet_indices(m, i, q[i - 1])]
             columns.append((bits[rows][:, source] * place).sum(axis=1, dtype=np.uint64))
         # player 1's masks are distinct and ascending, so the rows are sorted as tuples
         support[q] = tuple(map(tuple, np.stack(columns, axis=1).tolist()))

@@ -70,8 +70,8 @@ class QuantumStrategy:
             raise ValueError(f"alpha must be a real number in [0, pi/2], got {self.alpha!r}")
 
     def angle(self, player: int, question_bit: int) -> float:
-        game._validate_player(self.m, player)
-        game._validate_bit(question_bit)
+        game.check_int(player, 1, self.m, "player index")
+        question_bit = game.check_bit(question_bit)
         if player == 1:
             return question_bit * (math.pi / 2.0)
         return self.alpha if question_bit == 0 else -self.alpha
@@ -86,7 +86,7 @@ def _question_and_outcomes(m: int, q, o) -> tuple[list[int], tuple]:
     o = tuple(o)
     if len(o) != m or any(v not in (1, -1) for v in o):
         raise ValueError(f"expected {m} outcomes, each +1 or -1, got {o}")
-    return _question_rows(m, [q]).tolist()[0], o
+    return game.question_rows(m, [q]).tolist()[0], o
 
 
 def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
@@ -101,18 +101,6 @@ def outcome_probability(strategy: QuantumStrategy, q: Bits, o) -> float:
         proj = (eye + o[player - 1] * strategy.observable(player, q[player - 1])) / 2.0
         current = apply_single_qubit(current, proj[None], player - 1)
     return max(float(real_part([np.vdot(psi, current[0])], OVERLAP_IMAG_ATOL)[0]), 0.0)
-
-
-def _question_rows(m: int, questions) -> np.ndarray:
-    """Questions as an (N, m) int64 array of bits; raises ValueError unless
-    every entry equals 0 or 1."""
-    given = np.array(questions)
-    if given.ndim != 2 or given.shape[0] == 0 or given.shape[1] != m:
-        raise ValueError(f"expected one or more questions of {m} bits, got shape {given.shape}")
-    ones = given == 1
-    if not (ones | (given == 0)).all():
-        raise ValueError("question bits must be 0 or 1")
-    return ones.astype(np.int64)
 
 
 def _basis_entries(theta: float) -> list[list[float]]:
@@ -155,7 +143,7 @@ def outcome_distribution(strategies, questions) -> np.ndarray:
     """
     group = _strategy_list(strategies)
     m = group[0].m
-    rows = _question_rows(m, questions)
+    rows = game.question_rows(m, questions)
     n = len(group) * rows.shape[0]
     check_amplitudes(n << m)
     # branch c before any gate: the amplitude of |c...c>
@@ -170,20 +158,22 @@ def outcome_distribution(strategies, questions) -> np.ndarray:
     return probs.reshape(len(group), rows.shape[0], -1)
 
 
+# at most 4 masks per (m, player), each asked for again on every edge
+# observable the converse chain builds
+@lru_cache(maxsize=None)
 def _pinned_mask(m: int, player: int, qb: int, minus: int) -> int:
     """Facet mask a player's outcome induces, for ``minus`` = 1 where the
     outcome is -1 and 0 where it is +1.  Player 1 labels (q1,0,...,0) with o1
     and (q1,1,...,1) with (-1)^q1 o1; player i >= 2 labels (0,qi,...,qi) and
     (1,qi,...,qi) with oi.  Every other vertex gets +1, so the parity rule
     always holds."""
-    low_half = (1 << (m - 1)) - 1
-    pos = game._facet_position(m, player, qb)
+    ones = (1 << (m - 1)) - 1
     if player == 1:
-        low = qb << (m - 1)
-        first, second, flip = pos[low], pos[low | low_half], int(qb)
+        pinned, flip = (qb << (m - 1), qb << (m - 1) | ones), qb
     else:
-        tail = low_half if qb else 0
-        first, second, flip = pos[tail], pos[(1 << (m - 1)) | tail], 0
+        tail = ones if qb else 0
+        pinned, flip = (tail, 1 << (m - 1) | tail), 0
+    first, second = (game.facet_slot(m, player, vertex) for vertex in pinned)
     return minus << first | (minus ^ flip) << second
 
 
@@ -215,7 +205,7 @@ def winning_probability_simulated(strategies, questions) -> np.ndarray:
     probability times the game predicate, as an (A, N) array."""
     group = _strategy_list(strategies)
     m = group[0].m
-    rows = _question_rows(m, questions)
+    rows = game.question_rows(m, questions)
     dists = outcome_distribution(group, rows)
     tables = np.array([_win_table(m, tuple(q)) for q in rows.tolist()], dtype=float)
     # a (1, 2^m) by (2^m, 1) product per row: the same dot as dist @ table
@@ -257,7 +247,7 @@ def winning_probability_operator(strategies, questions) -> np.ndarray:
     <prod_{i>=2} (1 + (-1)^(q1*qi) Z_1 Z_i)/2> on the shared state."""
     group = _strategy_list(strategies)
     m = group[0].m
-    rows = _question_rows(m, questions)
+    rows = game.question_rows(m, questions)
     first = _player_gates(group, 1, rows, _z_entries)
     # the sign goes into player i's gates: negating a gate negates its product exactly
     signs = np.tile(np.where(rows[:, :1] & rows, -1.0, 1.0), (len(group), 1))[:, :, None, None]

@@ -38,6 +38,14 @@ def test_vertex_encoding_roundtrip():
             assert vertex_index(vertex_bits(e, m)) == e
 
 
+def test_facet_slot_inverts_the_facet_order():
+    for m in range(2, 9):
+        for player in range(1, m + 1):
+            for bit in (0, 1):
+                indices = game._facet_indices(m, player, bit)
+                assert [game.facet_slot(m, player, e) for e in indices] == list(range(1 << (m - 1)))
+
+
 def test_facet_vertices_m2():
     assert facet_vertices(2, 1, 0) == [(0, 0), (0, 1)]
     assert facet_vertices(2, 2, 1) == [(0, 1), (1, 1)]
@@ -206,7 +214,7 @@ def test_product_over_intersection_is_the_per_vertex_product():
         product = product_over_intersection(fa, q1, q_i, partner=partner)
         assert product == _per_vertex_product(fa, q1, q_i, partner), (fa, q1, q_i, partner)
         signs.add(product)
-        shared = game.intersection_mask(fa.m, fa.player, fa.question_bit, q1, partner, q_i)
+        shared = game.intersection_mask(fa.m, fa.player, q1, partner, q_i)
         assert shared.bit_count() == 1 << (fa.m - 2)
     assert signs == {1, -1}
 

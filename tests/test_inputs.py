@@ -1,8 +1,10 @@
 """Every count, index, exponent and mask goes through one integer rule: a
 value that is not an integer (numpy integers count), or an integer outside
 the site's range, raises ValueError; no float is truncated and no negative
-mask overflows."""
+mask overflows.  Every bit goes through one bit rule and every question
+through one question rule."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,13 +23,16 @@ _GATE = np.eye(2, dtype=complex)[None]
 SITES = [
     ("game.validate_dimension", game.validate_dimension, 2, game.MAX_DIMENSION),
     ("game.check_player_count", game.check_player_count, 2, math.inf),
-    ("game._validate_player", lambda i: game._validate_player(3, i), 1, 3),
+    ("game.facet_vertices", lambda i: game.facet_vertices(3, i, 0), 1, 3),
     ("FacetAssignment.m", lambda m: FacetAssignment(m, 1, 0, 0), 2, game.MAX_DIMENSION),
     ("FacetAssignment.player", lambda i: FacetAssignment(3, i, 0, 0), 1, 3),
     ("FacetAssignment.from_values m", lambda m: FacetAssignment.from_values(m, 1, 0, (1, 1)), 2, game.MAX_DIMENSION),
     ("game.vertex_bits index", lambda e: game.vertex_bits(e, 2), 0, 3),
     ("game.vertex_bits m", lambda m: game.vertex_bits(0, m), 2, game.MAX_DIMENSION),
-    ("game.intersection_mask", lambda i: game.intersection_mask(3, 1, 0, 0, i, 0), 2, 3),
+    ("game.intersection_mask", lambda i: game.intersection_mask(3, 1, 0, i, 0), 2, 3),
+    ("game.intersection_vertices", lambda i: game.intersection_vertices(3, 0, i, 0), 2, 3),
+    ("game.facet_slot player", lambda i: game.facet_slot(3, i, 0), 1, 3),
+    ("game.facet_slot vertex", lambda e: game.facet_slot(3, 1, e), 0, 7),
     (
         "game.product_over_intersection",
         lambda i: game.product_over_intersection(FacetAssignment(3, 1, 0, 0), 0, 0, partner=i),
@@ -131,3 +136,68 @@ def test_vertex_and_question_bits_are_zero_or_one():
     answer = game.answer_from_masks(2, (0, 0), (0, 0))
     with pytest.raises(ValueError, match="question"):
         nosignalling.in_Z(answer, (1, 0))
+
+
+_S3 = QuantumStrategy(3, 0.3)
+_Q = (1, 0, 1)
+_A3 = game.answer_from_masks(3, _Q, (1, 0, 6))
+
+# (site, player count, call): the call takes one bit when the count is None,
+# else one question of that many bits
+BIT_AND_QUESTION_SITES = [
+    ("game.check_bit", None, game.check_bit),
+    ("game.vertex_index", None, lambda b: game.vertex_index((b, 0, 1))),
+    ("game.facet_vertices", None, lambda b: game.facet_vertices(3, 2, b)),
+    ("game.intersection_mask q1", None, lambda b: game.intersection_mask(3, 1, b, 2, 0)),
+    ("game.intersection_mask q_i", None, lambda b: game.intersection_mask(3, 2, 0, 2, b)),
+    ("FacetAssignment", None, lambda b: FacetAssignment(2, 1, b, 1)),
+    ("FacetAssignment.value_at", None, lambda b: FacetAssignment(2, 2, 1, 2).value_at((1, b))),
+    ("game.product_over_intersection", None, lambda b: game.product_over_intersection(FacetAssignment(2, 1, 1, 1), b, b)),
+    ("game.chsh_bit_embedding bits", None, lambda b: game.chsh_bit_embedding(b, b, (1, 0))),
+    ("QuantumStrategy.angle", None, lambda b: _S3.angle(2, b)),
+    ("inequalities.induced_edge_observable", None, lambda b: inequalities.induced_edge_observable(_S3, 2, b, b)),
+    ("game.question_rows", 3, lambda q: game.question_rows(3, [q])),
+    ("game.batch_predicate", 3, lambda q: game.batch_predicate(3, q, [[1, 0, 6]])),
+    ("game.win_table", 3, lambda q: game.win_table(3, q, [[0, 1], [0], [6]])),
+    ("game.answer_from_masks", 3, lambda q: game.answer_from_masks(3, q, (1, 0, 6))),
+    ("game.predicate", 3, lambda q: game.predicate(_A3, q)),
+    ("game.consistency_ok", 3, lambda q: game.consistency_ok(_A3, q)),
+    ("game.relaxed_predicate", 3, lambda q: game.relaxed_predicate(_A3, q)),
+    ("game.all_answers", 3, lambda q: list(itertools.islice(game.all_answers(3, q), 3))),
+    ("game.chsh_bit_embedding question", 2, lambda q: game.chsh_bit_embedding(1, 0, q)),
+    ("DeterministicStrategy.answer", 3, lambda q: classical.canonical_strategy(3).answer(q)),
+    ("nosignalling.in_Z", 3, lambda q: nosignalling.in_Z(_A3, q)),
+    ("quantum.outcome_probability", 3, lambda q: quantum.outcome_probability(_S3, q, (1, -1, 1))),
+    ("quantum.outcome_to_answer", 3, lambda q: quantum.outcome_to_answer(_S3, q, (1, -1, 1))),
+    ("quantum.outcome_distribution", 3, lambda q: quantum.outcome_distribution([_S3], [q])),
+    ("quantum.winning_probability_simulated", 3, lambda q: quantum.winning_probability_simulated([_S3], [q])),
+    ("quantum.winning_probability_operator", 3, lambda q: quantum.winning_probability_operator([_S3], [q])),
+    ("inequalities.relaxed_win_bound", 3, lambda q: inequalities.relaxed_win_bound([_S3], [q])),
+    ("inequalities.verify_converse_chain", 3, lambda q: inequalities.verify_converse_chain([_S3], [q])),
+]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    # the repr tells 1 from 1.0, so a bit kept in its given type shows
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize(
+    "m, call", [site[1:] for site in BIT_AND_QUESTION_SITES], ids=[site[0] for site in BIT_AND_QUESTION_SITES]
+)
+def test_every_bit_is_zero_or_one_and_every_question_has_m_bits(m, call):
+    def given(bit):
+        # the bit itself, or the question _Q of m bits with its first bit replaced
+        return bit if m is None else (bit,) + _Q[1:m]
+
+    reference = call(given(1))
+    for one in (1.0, True, np.int64(1)):
+        assert _same(call(given(one)), reference), one
+    refused = [given(2), given(0.5)]
+    if m is not None:
+        refused += [_Q[: m - 1], _Q[:m] + (0,)]
+    for value in refused:
+        with pytest.raises(ValueError):
+            call(value)

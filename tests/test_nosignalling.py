@@ -10,9 +10,8 @@ from hcgame.game import (
     Answer,
     all_questions,
     answer_from_masks,
+    facet_vertices,
     predicate,
-    _facet_indices,
-    _facet_position,
 )
 from hcgame.nosignalling import (
     SparseCorrelation,
@@ -61,24 +60,20 @@ def test_in_Z_requires_symmetry():
 
 
 def _oracle_support(m):
-    # per entry, per bit: complete each parity-respecting player-1 labelling
-    # to the unique labelling symmetric under flipping x1
-    size = 1 << (m - 1)
-    low = size - 1
+    # per entry, per vertex: complete each parity-respecting player-1 labelling
+    # to the unique labelling symmetric under flipping x1, which gives every
+    # vertex the label player 1 puts on the vertex with the same x2..xm
     support = {}
     for q in all_questions(m):
-        pos1 = _facet_position(m, 1, q[0])
-        top = q[0] << (m - 1)
+        facet1 = facet_vertices(m, 1, q[0])
         entries = []
-        for mask1 in range(1 << size):
+        for mask1 in range(1 << len(facet1)):
             if mask1.bit_count() & 1 != q[0]:
                 continue
+            label = {v[1:]: (mask1 >> k) & 1 for k, v in enumerate(facet1)}
             masks = [mask1]
             for i in range(2, m + 1):
-                mask = 0
-                for k, encoding in enumerate(_facet_indices(m, i, q[i - 1])):
-                    mask |= ((mask1 >> pos1[(encoding & low) | top]) & 1) << k
-                masks.append(mask)
+                masks.append(sum(label[v[1:]] << k for k, v in enumerate(facet_vertices(m, i, q[i - 1]))))
             entries.append(tuple(masks))
         support[q] = tuple(sorted(entries))
     return support

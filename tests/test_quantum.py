@@ -138,20 +138,16 @@ def test_outcome_to_answer_pins_only_special_vertices():
 
 
 def _pinned_values_answer(m, q, o):
-    """Labels from a +/-1 list per player, as the pinning rule states them."""
-    low_half = (1 << (m - 1)) - 1
+    """Labels from a +/-1 list per player, as the pinning rule states them,
+    vertex tuple by vertex tuple."""
     assignments = []
     for player in range(1, m + 1):
         qb = q[player - 1]
-        pos = game._facet_position(m, player, qb)
-        values = [1] * (1 << (m - 1))
         if player == 1:
-            values[pos[qb << (m - 1)]] = o[0]
-            values[pos[(qb << (m - 1)) | low_half]] = o[0] if qb == 0 else -o[0]
+            pinned = {(qb,) + (0,) * (m - 1): o[0], (qb,) + (1,) * (m - 1): o[0] if qb == 0 else -o[0]}
         else:
-            tail = low_half if qb else 0
-            values[pos[tail]] = o[player - 1]
-            values[pos[(1 << (m - 1)) | tail]] = o[player - 1]
+            pinned = {(x,) + (qb,) * (m - 1): o[player - 1] for x in (0, 1)}
+        values = [pinned.get(v, 1) for v in game.facet_vertices(m, player, qb)]
         assignments.append(FacetAssignment.from_values(m, player, qb, values))
     return Answer(tuple(assignments))
 
