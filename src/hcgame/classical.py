@@ -100,9 +100,10 @@ def _win_totals(m: int, restrict_parity: bool) -> tuple[list, np.ndarray]:
     """
     candidates = _candidate_masks(m, restrict_parity)
     shape = tuple(len(candidates[p][b]) for p in range(m) for b in (0, 1))
-    totals = np.zeros(shape, dtype=np.int32)
+    # at most 2^m <= 8 wins per strategy
+    totals = np.zeros(shape, dtype=np.uint8)
     for q in all_questions(m):
-        table = win_table(m, q, [candidates[i][q[i]] for i in range(m)]).astype(np.int32)
+        table = win_table(m, q, [candidates[i][q[i]] for i in range(m)])
         # unit axes for the bits the question does not ask
         totals += np.expand_dims(table, tuple(2 * i + 1 - q[i] for i in range(m)))
     return candidates, totals

@@ -106,24 +106,26 @@ def induced_edge_observable(
     return operator
 
 
-def _edge_stack(strategy: QuantumStrategy, owner: int, bits) -> np.ndarray:
-    """The owner's edge observable for each (q1, qi) in ``bits``, as an
-    (N, 2, 2) stack."""
-    return np.array([induced_edge_observable(strategy, owner, q1, qi) for q1, qi in bits])
+def _edge_stack(group: list[QuantumStrategy], owner: int, bits) -> np.ndarray:
+    """The owner's edge observable for each strategy of ``group`` and each
+    (q1, qi) in ``bits``, as an (A N, 2, 2) stack, strategy-major."""
+    return np.array([induced_edge_observable(strategy, owner, q1, qi) for strategy in group for q1, qi in bits])
 
 
-def build_S_T(strategy: QuantumStrategy, i: int, rows: int = 1) -> ConstrainedPair:
+def build_S_T(strategies, i: int, rows: int = 1) -> ConstrainedPair:
     """S = O(0,0,1)(O(0,0,i)+O(0,1,i))/2 and T = O(1,0,1)(O(0,0,i)-O(0,1,i))/2
-    as two-qubit operators on the (1, i) slots, constraint-checked: ``rows``
-    such pairs as (rows, 4, 4) stacks, each row from its own four edge
-    lookups; a bad row raises a RowError naming it.
+    as two-qubit operators on the (1, i) slots, constraint-checked: for each
+    of A strategies of one m, ``rows`` such pairs, as (A rows, 4, 4) stacks
+    in strategy-major order, each row from its own four edge lookups; a bad
+    row raises a RowError naming it.
     """
-    check_int(i, 2, strategy.m, "second player index")
+    group = quantum._strategy_list(strategies)
+    check_int(i, 2, group[0].m, "second player index")
     check_int(rows, 1, math.inf, "row count")
-    o001 = _edge_stack(strategy, 1, [(0, 0)] * rows)
-    o101 = _edge_stack(strategy, 1, [(1, 0)] * rows)
-    o00i = _edge_stack(strategy, i, [(0, 0)] * rows)
-    o01i = _edge_stack(strategy, i, [(0, 1)] * rows)
+    o001 = _edge_stack(group, 1, [(0, 0)] * rows)
+    o101 = _edge_stack(group, 1, [(1, 0)] * rows)
+    o00i = _edge_stack(group, i, [(0, 0)] * rows)
+    o01i = _edge_stack(group, i, [(0, 1)] * rows)
     pair = ConstrainedPair(tensor(o001, (o00i + o01i) / 2.0), tensor(o101, (o00i - o01i) / 2.0))
     pair.validate()
     return pair
@@ -235,12 +237,8 @@ def relaxed_win_bound(strategies, questions) -> np.ndarray:
     group = quantum._strategy_list(strategies)
     m = group[0].m
     rows = game.question_rows(m, questions).tolist()
-
-    def edges(owner: int, i: int) -> np.ndarray:
-        bits = [(q[0], q[i - 1]) for q in rows]
-        return np.concatenate([_edge_stack(strategy, owner, bits) for strategy in group])
-
-    pairs = ((edges(1, i), edges(i, i)) for i in range(2, m + 1))
+    bits = {i: [(q[0], q[i - 1]) for q in rows] for i in range(2, m + 1)}
+    pairs = ((_edge_stack(group, 1, bits[i]), _edge_stack(group, i, bits[i])) for i in range(2, m + 1))
     bounds = quantum.pair_products(m, len(group) * len(rows), pairs)
     return bounds.reshape(len(group), len(rows))
 
@@ -260,20 +258,20 @@ def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> 
     p_sim = quantum.winning_probability_simulated(group, rows)
     if np.any(p_sim > relaxed_win_bound(group, rows) + tol):
         return False
-    sign = np.where(rows[:, 0], -1.0, 1.0)[:, None, None]
+    sign = np.tile(np.where(rows[:, 0], -1.0, 1.0), len(group))[:, None, None]
     questions = rows.tolist()
     for i in range(2, m + 1):
+        # one stack per partner, a row per (strategy, question), strategy-major
         bits = [(q[0], q[i - 1]) for q in questions]
-        for strategy in group:
-            first = _edge_stack(strategy, 1, bits) - sign * _edge_stack(strategy, 1, [(q1, 1 - qi) for q1, qi in bits])
-            other = _edge_stack(strategy, i, bits) - _edge_stack(strategy, i, [(1 - q1, qi) for q1, qi in bits])
-            if np.max(np.abs(first)) > tol or np.max(np.abs(other)) > tol:
-                return False
-            # S and T depend on (strategy, i) alone, yet the stack holds one row per
-            # question: the benchmark pins the edge-observable call count this gives,
-            # so one pair per (strategy, i) waits until the benchmark is re-pinned
-            if np.any(build_S_T(strategy, i, len(questions)).constraint_residual() > tol):
-                return False
+        first = _edge_stack(group, 1, bits) - sign * _edge_stack(group, 1, [(q1, 1 - qi) for q1, qi in bits])
+        other = _edge_stack(group, i, bits) - _edge_stack(group, i, [(1 - q1, qi) for q1, qi in bits])
+        if np.max(np.abs(first)) > tol or np.max(np.abs(other)) > tol:
+            return False
+        # S and T depend on (strategy, i) alone, yet the stack holds one row per
+        # (strategy, question): the benchmark pins the edge-observable call count
+        # this gives, so one pair per (strategy, i) waits until it is re-pinned
+        if np.any(build_S_T(group, i, len(questions)).constraint_residual() > tol):
+            return False
     return True
 
 

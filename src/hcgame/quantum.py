@@ -8,10 +8,12 @@ facet labels by pinning four distinguished vertices and filling the rest
 with +1.  Averaged over questions the strategy wins with probability
 [(1+cos a)^(m-1) + (1+sin a)^(m-1)] / 2^m, maximised over a.
 
-The simulation kernels carry the GHZ state as its two branches, from |0...0>
-and |1...1>, over the qubits their gates have touched; the last gate joins
-them into the 2^m row.  Every amplitude takes the floating-point steps of a
-full statevector stack, less the products with its exact zeros.
+The outcome distribution carries the GHZ state as its two branches, from
+|0...0> and |1...1>, over the qubits their gates have touched; the last gate
+joins them into the 2^m row.  The pair products keep only the 8 amplitudes
+per row that the GHZ readout at |0...0> and |1...1> depends on.  Every kept
+amplitude takes the floating-point steps of a full statevector stack, less
+the products with its exact zeros.
 """
 
 from __future__ import annotations
@@ -215,31 +217,38 @@ def winning_probability_simulated(strategies, questions) -> np.ndarray:
 def pair_products(m: int, n: int, pairs) -> np.ndarray:
     """<psi| prod_{i>=2} (I + A_i B_i)/2 |psi> on the GHZ state psi for each
     of n rows.  ``pairs`` yields (A_i, B_i) for i = 2..m in turn: (n, 2, 2)
-    stacks acting on qubit 1 and on qubit i.  Before pair i, the branches
-    span qubits 0..i-2, and qubits i-1..m-1 equal c in branch c."""
+    stacks acting on qubit 1 and on qubit i.
+
+    psi is read only at |0...0> and |1...1>, and pair i touches no qubit but
+    1 and i, so each row is kept as acc[k, c, b, r]: branch c, qubit 1 equal
+    to b, and qubits 2..i-1 all equal to r.  Those 8 amplitudes take the
+    floating-point steps of a full 2^m statevector stack; the cap on
+    amplitudes still counts the full stack."""
     psi = ghz_state(m)
     check_amplitudes(n << m)
-    acc = np.zeros((n, 2, 2), dtype=complex)
+    acc = np.zeros((n, 2, 2, 2), dtype=complex)
     acc[:, 0, 0], acc[:, 1, 1] = psi[0], psi[-1]
+    diag = [0, 1]
     for i, (first, other) in enumerate(pairs, start=2):
-        # the branch index is the stack's top qubit, so qubit 0 is its qubit 1
-        tmp = apply_single_qubit(acc.reshape(n, -1), first, 1)
+        # A on qubit 1 as in apply_single_qubit: g[b,0] v0 + g[b,1] v1
+        tmp = first[:, None, :, 0, None] * acc[:, :, None, 0]
+        tmp += first[:, None, :, 1, None] * acc[:, :, None, 1]
         if i < m:
-            tmp = _grow(other, tmp.reshape(n, 2, -1))
-            # in branch c, acc's qubit i-1 equals c
-            for c in (0, 1):
-                tmp[:, c, :, c] += acc[:, c]
+            # qubit i is c in branch c, so only column c of B enters; the
+            # identity term keeps it c, so it adds where r = c
+            np.multiply(other.swapaxes(1, 2)[:, :, None, :], tmp, out=tmp)
+            tmp[:, diag, :, diag] += acc[:, diag, :, diag]
         else:
-            # joined on the top qubit: the 2^m row with qubit m-1 moved to
-            # the top, where acc's branch c has it equal to c
-            tmp = apply_single_qubit(tmp, other, 0)
-            tmp += acc.reshape(n, -1)
+            # B's row r joins the branches into the amplitude of |r...r>
+            ends = other[:, :, 0] * tmp[:, 0, diag, diag]
+            ends += other[:, :, 1] * tmp[:, 1, diag, diag]
+            ends += acc[:, diag, diag, diag]
+            tmp = ends
         # (acc + tmp) / 2 in tmp's memory
         tmp /= 2.0
-        acc = tmp.reshape(n, 2, -1)
-    # a (1, 2^m) by (2^m, 1) product per row: the same dot as np.vdot(psi, row),
-    # as moving qubit m-1 to the top leaves psi's two entries in place
-    return real_part((psi.conj() @ acc.reshape(n, -1, 1))[:, 0], OVERLAP_IMAG_ATOL)
+        acc = tmp
+    # <psi|row> over psi's two non-zero entries
+    return real_part(psi[0].conj() * acc[:, 0] + psi[-1].conj() * acc[:, 1], OVERLAP_IMAG_ATOL)
 
 
 def winning_probability_operator(strategies, questions) -> np.ndarray:

@@ -117,7 +117,8 @@ def test_win_totals_and_maximizer_match_per_answer_search():
     }
     for (m, restrict), masks in expected_best.items():
         candidates, totals = _win_totals(m, restrict)
-        assert totals.dtype == np.int32
+        # at most 2^m <= 8 wins per strategy
+        assert totals.dtype == np.uint8
         assert np.array_equal(totals, _reference_totals(candidates, m))
         _, best = brute_force_classical_value(m, restrict_parity=restrict)
         assert best.masks() == masks

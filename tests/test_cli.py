@@ -342,6 +342,24 @@ def test_verify_lemma2_report_matches_reference(capsys, argv):
     assert out == reference
 
 
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        # criterion 3: the m >= 3 quantum average misses the closed form
+        (["verify", "quantum", "--alpha-samples", "257"], 1),
+        (["verify", "converse", "--m", "5", "--alpha-samples", "64"], 0),
+    ],
+)
+def test_stacked_sweep_reports_match_reference(capsys, argv, exit_code):
+    # m = 6 as 17 stacks of strategies, and a converse sweep of 1,280 edges
+    # against a 1,024-edge cache: the benchmark's references reach neither
+    name = "-".join(arg.lstrip("-") for arg in argv) + ".json"
+    reference = (Path(__file__).parent / "reference" / name).read_text()
+    code, out = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert out == reference
+
+
 def test_value_table_matches_reference(capsys, tmp_path):
     # the paper's value table up to the largest m, through the player-count
     # and power rules and maximize_r, as bytes stored under tests/reference/

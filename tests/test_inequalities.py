@@ -128,10 +128,10 @@ def test_build_S_T_constraint_and_chsh_value():
     for m in (2, 3, 4):
         s = QuantumStrategy(m, math.pi / 4)
         for i in range(2, m + 1):
-            pair = build_S_T(s, i)
+            pair = build_S_T([s], i)
             assert pair.s.shape == (1, 4, 4)
             assert pair.constraint_residual()[0] <= 1e-10
-    pair = build_S_T(QuantumStrategy(2, math.pi / 4), 2)
+    pair = build_S_T([QuantumStrategy(2, math.pi / 4)], 2)
     assert expectation(pair.s + pair.t, [ghz_state(2)])[0] == pytest.approx(SQRT2, abs=1e-10)
 
 
@@ -142,8 +142,8 @@ def test_stacked_S_T_rows_equal_the_single_pair_bitwise():
         for alpha in np.linspace(0.0, math.pi / 2.0, 16):
             s = QuantumStrategy(m, float(alpha))
             for i in range(2, m + 1):
-                single = build_S_T(s, i)
-                stacked = build_S_T(s, i, rows)
+                single = build_S_T([s], i)
+                stacked = build_S_T([s], i, rows)
                 assert stacked.s.shape == stacked.t.shape == (rows, 4, 4)
                 assert stacked.constraint_residual().shape == (rows,)
                 for k in range(rows):
@@ -152,12 +152,32 @@ def test_stacked_S_T_rows_equal_the_single_pair_bitwise():
                     assert np.array_equal(stacked.constraint_residual()[k], single.constraint_residual()[0])
 
 
+def test_grouped_S_T_rows_equal_the_single_strategy_build_bitwise():
+    # rows strategy-major: strategy a's rows are a * rows .. (a + 1) * rows - 1
+    for m in (2, 3, 4):
+        s1, s2 = QuantumStrategy(m, 0.3), QuantumStrategy(m, 1.1)
+        for i in range(2, m + 1):
+            for rows in (1, 3):
+                grouped = build_S_T([s1, s2], i, rows)
+                assert grouped.s.shape == grouped.t.shape == (2 * rows, 4, 4)
+                for a, s in enumerate((s1, s2)):
+                    single = build_S_T([s], i, rows)
+                    for k in range(rows):
+                        assert np.array_equal(grouped.s[a * rows + k], single.s[k])
+                        assert np.array_equal(grouped.t[a * rows + k], single.t[k])
+                        assert grouped.constraint_residual()[a * rows + k] == single.constraint_residual()[k]
+    with pytest.raises(ValueError, match="strategies"):
+        build_S_T(QuantumStrategy(3, 0.3), 2)
+    with pytest.raises(ValueError, match="strategies"):
+        build_S_T([QuantumStrategy(3, 0.3), QuantumStrategy(4, 0.3)], 2)
+
+
 def test_build_S_T_rejects_a_partner_that_is_not_an_integer_in_range():
     s = QuantumStrategy(3, 0.3)
     for i in (1, 4, 2.0, 2.5, "2", None):
         with pytest.raises(ValueError, match="second player index"):
-            build_S_T(s, i)
-    assert np.array_equal(build_S_T(s, np.int64(3)).s, build_S_T(s, 3).s)
+            build_S_T([s], i)
+    assert np.array_equal(build_S_T([s], np.int64(3)).s, build_S_T([s], 3).s)
 
 
 @pytest.mark.parametrize("row", [0, 6, 15])
@@ -177,17 +197,38 @@ def test_stacked_build_names_the_row_with_a_tampered_edge(monkeypatch, row):
 
     monkeypatch.setattr(ineq, "induced_edge_observable", tampered)
     with pytest.raises(RowError, match="S deviates from Hermitian") as err:
-        build_S_T(s, 3, 16)
+        build_S_T([s], 3, 16)
     assert err.value.row == row
     lookups.clear()
     monkeypatch.undo()
-    build_S_T(s, 3, 16)
+    build_S_T([s], 3, 16)
+
+
+@pytest.mark.parametrize("row", [0, 4])
+def test_grouped_build_names_the_strategy_major_row_of_a_tampered_edge(monkeypatch, row):
+    s1, s2 = QuantumStrategy(4, 0.5), QuantumStrategy(4, 0.9)
+    real = ineq.induced_edge_observable
+    lookups = []
+
+    def tampered(strategy, owner, q1, qi):
+        # the second strategy's O(0,0,1) lookups come in its row order
+        edge = real(strategy, owner, q1, qi)
+        if strategy is s2 and (owner, q1, qi) == (1, 0, 0):
+            lookups.append(None)
+            if len(lookups) == row + 1:
+                return edge + 0.1j * np.array([[0.0, 1.0], [1.0, 0.0]])
+        return edge
+
+    monkeypatch.setattr(ineq, "induced_edge_observable", tampered)
+    with pytest.raises(RowError, match="S deviates from Hermitian") as err:
+        build_S_T([s1, s2], 3, 5)
+    assert err.value.row == 5 + row
 
 
 def test_S_and_T_families_commute():
     m = 4
     s = QuantumStrategy(m, 0.8)
-    pairs = {i: build_S_T(s, i) for i in range(2, m + 1)}
+    pairs = {i: build_S_T([s], i) for i in range(2, m + 1)}
 
     def embed(op, i):
         # two-qubit operator on slots (1, i) lifted to the full register
@@ -476,14 +517,14 @@ def test_lemma2_tolerance_covers_the_rounding_of_r_star():
     # the GHZ edge pair at the maximising angle attains the bound; at large M
     # it lands a few dozen ulps of r* on either side of it
     for power in range(1, 65):
-        pair = build_S_T(QuantumStrategy(2, maximize_r(power).theta_star), 2)
+        pair = build_S_T([QuantumStrategy(2, maximize_r(power).theta_star)], 2)
         assert verify_lemma2(pair, [ghz_state(2)], power), power
     # S = T = I gives 2^(M+1), about twice the bound
     eye = np.eye(4, dtype=complex)[None]
     assert not verify_lemma2(ConstrainedPair(eye, eye), [ghz_state(2)], 64)
     assert not verify_lemma2(ConstrainedPair(eye, eye), [ghz_state(2)], 1)
     # one verdict over all rows: a stack passes only when every row does
-    pairs = build_S_T(QuantumStrategy(2, maximize_r(1).theta_star), 2, 3)
+    pairs = build_S_T([QuantumStrategy(2, maximize_r(1).theta_star)], 2, 3)
     states = np.array([ghz_state(2)] * 3)
     assert verify_lemma2(pairs, states, 1)
     pairs.s[1] = pairs.t[1] = np.eye(4)
@@ -670,6 +711,24 @@ def test_converse_chain_makes_the_pinned_edge_lookups(monkeypatch):
     assert len(calls) == 16 * 3 * (2 + 4 + 4) == 480
 
 
+def test_grouped_converse_chain_makes_the_pinned_edge_lookups_per_strategy(monkeypatch):
+    # one stack per partner for the whole list: still 10 lookups per
+    # (strategy, partner, question)
+    real = ineq.induced_edge_observable
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ineq, "induced_edge_observable", counted)
+    strategies = [QuantumStrategy(4, alpha) for alpha in (0.2, 0.7, 1.3)]
+    assert verify_converse_chain(strategies, list(all_questions(4)))
+    assert len(calls) == 3 * 480
+    for s in strategies:
+        assert sum(call[0] is s for call in calls) == 480
+
+
 def _converse_chain_one_question(strategy, q, tol):
     # the chain's checks on one question, edge by edge
     if winning_probability_simulated([strategy], [q])[0, 0] > _relaxed_win_bound_one_state(strategy, q) + tol:
@@ -683,7 +742,7 @@ def _converse_chain_one_question(strategy, q, tol):
         other = induced_edge_observable(strategy, i, q1, qi)
         if np.max(np.abs(other - induced_edge_observable(strategy, i, 1 - q1, qi))) > tol:
             return False
-        if build_S_T(strategy, i).constraint_residual()[0] > tol:
+        if build_S_T([strategy], i).constraint_residual()[0] > tol:
             return False
     return True
 

@@ -43,8 +43,8 @@ SITES = [
     ("game.all_questions", game.all_questions, 2, game.MAX_DIMENSION),
     ("quantum.ghz_state", quantum.ghz_state, 2, quantum.GHZ_MAX_QUBITS),
     ("quantum.check_power", quantum.check_power, 1, math.inf),
-    ("inequalities.build_S_T", lambda i: inequalities.build_S_T(QuantumStrategy(3, 0.3), i), 2, 3),
-    ("build_S_T rows", lambda n: inequalities.build_S_T(QuantumStrategy(3, 0.3), 2, n), 1, math.inf),
+    ("inequalities.build_S_T", lambda i: inequalities.build_S_T([QuantumStrategy(3, 0.3)], i), 2, 3),
+    ("build_S_T rows", lambda n: inequalities.build_S_T([QuantumStrategy(3, 0.3)], 2, n), 1, math.inf),
     (
         "inequalities.induced_edge_observable",
         lambda owner: inequalities.induced_edge_observable(QuantumStrategy(3, 0.3), owner, 0, 0),

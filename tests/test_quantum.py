@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,6 +444,76 @@ def _full_stack_pair_products(m, n, pairs):
         tmp /= 2.0
         acc = tmp
     return quantum.real_part((psi.conj() @ acc[:, :, None])[:, 0], linalg.OVERLAP_IMAG_ATOL)
+
+
+def _full_branch_pair_products(m, n, pairs):
+    # the oracle of the eight-amplitude kernel: the GHZ state's two branches
+    # grown over every qubit a pair has touched, joined into the 2^m row by
+    # the last pair and read out by one dot product per row
+    psi = ghz_state(m)
+    acc = np.zeros((n, 2, 2), dtype=complex)
+    acc[:, 0, 0], acc[:, 1, 1] = psi[0], psi[-1]
+    for i, (first, other) in enumerate(pairs, start=2):
+        tmp = apply_single_qubit(acc.reshape(n, -1), first, 1)
+        if i < m:
+            tmp = quantum._grow(other, tmp.reshape(n, 2, -1))
+            for c in (0, 1):
+                tmp[:, c, :, c] += acc[:, c]
+        else:
+            tmp = apply_single_qubit(tmp, other, 0)
+            tmp += acc.reshape(n, -1)
+        tmp /= 2.0
+        acc = tmp.reshape(n, 2, -1)
+    return (psi.conj() @ acc.reshape(n, -1, 1))[:, 0]
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_pair_products_equal_the_full_branch_pass_bit_for_bit(monkeypatch, twisted):
+    # every call the operator identity and the relaxation bound make, on real
+    # reflections and on complex non-Hermitian gates whose overlaps are
+    # complex; n from one row to several strategies of every question
+    kernel = quantum.pair_products
+    overlaps = []
+
+    def kernel_and_oracle(m, n, pairs):
+        pairs = list(pairs)
+        got = kernel(m, n, iter(pairs))
+        want = _full_branch_pair_products(m, n, iter(pairs))
+        assert got.shape == want.shape == (n,)
+        assert np.array_equal(got, want)
+        overlaps.append(got)
+        return got
+
+    if twisted:
+        monkeypatch.setattr(quantum, "_z_entries", _twisted_z_entries)
+    monkeypatch.setattr(quantum, "real_part", lambda values, atol: np.asarray(values))
+    monkeypatch.setattr(quantum, "pair_products", kernel_and_oracle)
+    inequalities.induced_edge_observable.cache_clear()
+    try:
+        for m in range(2, 8):
+            questions = list(all_questions(m))
+            for samples, qs in ((1, questions[-1:]), (3, questions[:5]), (4, questions), (9, questions)):
+                winning_probability_operator(_sweep(m, samples), qs)
+                inequalities.relaxed_win_bound(_sweep(m, samples), qs)
+    finally:
+        inequalities.induced_edge_observable.cache_clear()
+    assert len(overlaps) == 6 * 4 * 2
+    assert (max(np.abs(got.imag).max() for got in overlaps) > 1e-3) == twisted
+
+
+def test_one_operator_call_of_sixteen_m6_strategies_stays_small():
+    # 1,024 rows of eight amplitudes each, not of 2^m: the full-branch pass
+    # peaked at about 3.9 MB here
+    strategies = _sweep(6, 16)
+    questions = list(all_questions(6))
+    winning_probability_operator(strategies, questions)
+    tracemalloc.start()
+    try:
+        winning_probability_operator(strategies, questions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def _branch_kernels_and_full_stack_oracle(monkeypatch, m, strategies):
