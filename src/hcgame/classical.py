@@ -6,7 +6,6 @@ equals 1/2 + 1/2^m, and exhaustive search confirms it for m in {2, 3}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -134,17 +133,3 @@ def brute_force_classical_value(
     )
     return Fraction(wins, 1 << m), DeterministicStrategy(m, choices)
 
-
-def enumerate_strategies(m: int):
-    """Every deterministic strategy, as an iterator; practical for m = 2 only."""
-    check_int(m, MIN_DIMENSION, 2, "player count of the strategy enumeration")
-    candidates = _candidate_masks(m, restrict_parity=False)
-    pools = [
-        [
-            (FacetAssignment(m, p + 1, 0, m0), FacetAssignment(m, p + 1, 1, m1))
-            for m0 in candidates[p][0]
-            for m1 in candidates[p][1]
-        ]
-        for p in range(m)
-    ]
-    return (DeterministicStrategy(m, combo) for combo in itertools.product(*pools))

@@ -24,7 +24,6 @@ Bits = tuple[int, ...]
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 24
-ENUMERATION_MAX_DIMENSION = 3
 # label-grid cells (bytes) the batched win rule works on at once
 _GRID_CELLS = 1 << 22
 # the types an index, count, exponent or mask may have; testing these concrete
@@ -354,33 +353,13 @@ def predicate(answer: Answer, q: Bits) -> int:
     return int(batch_predicate(answer.m, q, _one_row(answer))[0])
 
 
-def product_over_intersection(
-    assignment: FacetAssignment, q1: int, q_i: int, partner: int | None = None
-) -> int:
-    """Product of the assignment's labels over the vertices shared with player 1.
-
-    For a player-1 assignment the intersection also depends on which other
-    player is meant; pass ``partner`` (defaults to 2 when m == 2, required
-    otherwise).
-    """
-    m = assignment.m
-    q1, q_i = check_bit(q1), check_bit(q_i)
-    if assignment.player == 1:
-        if assignment.question_bit != q1:
-            raise ValueError("facet is disjoint from the requested intersection")
-        if partner is None:
-            if m > 2:
-                raise ValueError("partner player index required for player 1 when m > 2")
-            partner = 2
-        i = partner
-    else:
-        i = assignment.player
-        if partner is not None and partner != i:
-            raise ValueError("partner does not match the assignment's player")
-        if assignment.question_bit != q_i:
-            raise ValueError("facet is disjoint from the requested intersection")
-    shared = intersection_mask(m, assignment.player, q1, i, q_i)
-    return -1 if (assignment.mask & shared).bit_count() & 1 else 1
+def product_over_intersection(m: int, player: int, mask: int, q1: int, i: int, q_i: int) -> int:
+    """The one intersection-product rule: the product (+1 or -1) of the labels
+    that ``mask``, the player's labelling of its facet (player 1's {x_1 = q1}
+    or player i's {x_i = q_i}), gives the vertices the two facets share."""
+    shared = intersection_mask(m, player, q1, i, q_i)
+    check_masks(mask, 1 << (m - 1))
+    return -1 if (mask & shared).bit_count() & 1 else 1
 
 
 def relaxed_predicate(answer: Answer, q: Bits) -> int:
@@ -393,12 +372,10 @@ def relaxed_predicate(answer: Answer, q: Bits) -> int:
     q = _check_question(answer, q)
     if not all(parity_ok(fa) for fa in answer.assignments):
         return 0
-    m = answer.m
-    a1 = answer.assignments[0]
+    m, masks = answer.m, [fa.mask for fa in answer.assignments]
     for i in range(2, m + 1):
-        lhs = product_over_intersection(a1, q[0], q[i - 1], partner=i)
-        rhs = product_over_intersection(answer.assignments[i - 1], q[0], q[i - 1])
-        if lhs != rhs:
+        edge = (q[0], i, q[i - 1])
+        if product_over_intersection(m, 1, masks[0], *edge) != product_over_intersection(m, i, masks[i - 1], *edge):
             return 0
     return 1
 
@@ -423,16 +400,4 @@ def all_questions(m: int):
     """All 2^m questions in ascending canonical order."""
     validate_dimension(m)
     return itertools.product((0, 1), repeat=m)
-
-
-def all_answers(m: int, q: Bits):
-    """Every possible answer for a question.  Exposed only for m <= 3.
-
-    The answer space has (2^(2^(m-1)))^m elements, so exhaustive walks are
-    capped where they stay cheap.
-    """
-    check_int(m, MIN_DIMENSION, ENUMERATION_MAX_DIMENSION, "player count of an answer enumeration")
-    [q] = question_rows(m, [q]).tolist()
-    masks = itertools.product(range(1 << (1 << (m - 1))), repeat=m)
-    return (answer_from_masks(m, q, row) for row in masks)
 

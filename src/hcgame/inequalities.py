@@ -95,12 +95,11 @@ def induced_edge_observable(
     own_bit, partner = (q1, 2) if owner == 1 else (qi, owner)
     # raises ValueError unless the owner is a player of the strategy
     observable = strategy.observable(owner, own_bit)
-    shared = game.intersection_mask(m, owner, q1, partner, qi)
     eye = np.eye(2, dtype=complex)
     operator = np.zeros((2, 2), dtype=complex)
     for o, minus in ((1, 0), (-1, 1)):
-        # the sign of the outcome's pinned labels on the shared slots
-        product = -1 if (quantum._pinned_mask(m, owner, own_bit, minus) & shared).bit_count() & 1 else 1
+        pinned = quantum._pinned_mask(m, owner, own_bit, minus)
+        product = game.product_over_intersection(m, owner, pinned, q1, partner, qi)
         operator = operator + product * (eye + o * observable) / 2.0
     operator.setflags(write=False)
     return operator
@@ -205,6 +204,12 @@ def lemma2_lhs(pair: ConstrainedPair, psi, power: int):
     return expectation(op, psi) * scale
 
 
+def check_tolerance(tol: float) -> None:
+    """The one tolerance rule: raise ValueError unless tol is finite and >= 0."""
+    if not math.isfinite(tol) or tol < 0.0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def _lemma2_within(slack, power, tol: float):
     """slack = r* - lhs >= -max(tol, 2^M LEMMA2_RELATIVE_ATOL), elementwise."""
     return slack >= -np.maximum(tol, np.ldexp(LEMMA2_RELATIVE_ATOL, power))
@@ -212,6 +217,7 @@ def _lemma2_within(slack, power, tol: float):
 
 def verify_lemma2(pair: ConstrainedPair, psi, power: int, tol: float = 1e-9) -> bool:
     """Whether every row of :func:`lemma2_lhs` is within the bound r*."""
+    check_tolerance(tol)
     return bool(np.all(_lemma2_within(maximize_r(power).r_star - lemma2_lhs(pair, psi, power), power, tol)))
 
 
@@ -251,8 +257,7 @@ def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> 
     S^2 + T^2 = I for every pairing.  True when all of them hold."""
     group = quantum._strategy_list(strategies)
     m = group[0].m
-    if not math.isfinite(tol) or tol < 0.0:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    check_tolerance(tol)
     check_int(m, game.MIN_DIMENSION, 6, "player count of a converse chain")
     rows = game.question_rows(m, questions)
     p_sim = quantum.winning_probability_simulated(group, rows)
@@ -294,6 +299,7 @@ def run_lemma2_trials(
     are covered evenly.  Returns the worst slack r* - lhs (negative means a
     violation beyond tolerance would be close).
     """
+    check_tolerance(tol)
     slacks, powers = lemma2_slacks(trials, max_dim_half, max_power, seed)
     failures = int(np.count_nonzero(~_lemma2_within(slacks, powers, tol)))
     return {

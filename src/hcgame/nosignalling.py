@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .game import MIN_DIMENSION, Answer, Bits, all_questions, answer_from_masks, batch_predicate, check_int, check_masks
-from .game import _check_question, _facet_indices, _mask_bits, facet_slot, mask_dtype
+from .game import _check_question, _facet_indices, _mask_bits, facet_slot, mask_dtype, required_parity
 
 NS_MAX_DIMENSION = 4
 
@@ -61,27 +61,25 @@ class SparseCorrelation:
             yield answer_from_masks(self.m, tuple(q), masks)
 
 
-def in_Z(answer: Answer, q: Bits) -> bool:
-    """Membership test for the support set.
+def copy_sources(m: int, i: int, q_i: int) -> list[int]:
+    """The one support rule: the player-1 slot that each slot of player i's
+    facet {x_i = q_i} copies.  A support labelling gives every vertex player
+    1's label on its x1-flip orbit, which sits in the vertex's player-1 slot."""
+    return [facet_slot(m, 1, e) for e in _facet_indices(m, i, q_i)]
 
-    True iff some globally consistent labelling, symmetric in the first
-    coordinate, extends every player's facet labels, and player 1's labels
-    multiply to (-1)^q1.  The extension test is constructive: project each
-    labelled vertex onto its symmetry orbit, named by its slot on player 1's
-    facet, and look for a clash.
-    """
+
+def in_Z(answer: Answer, q: Bits) -> bool:
+    """Membership test for the support set: player 1's labels multiply to
+    (-1)^q1 and every other player's mask is the copy of player 1's that
+    :func:`copy_sources` prescribes."""
     q = _check_question(answer, q)
-    m = answer.m
-    if (answer.assignments[0].mask.bit_count() & 1) != q[0]:
+    m, first = answer.m, answer.assignments[0].mask
+    if first.bit_count() & 1 != required_parity(1, q[0]):
         return False
-    orbit: dict[int, int] = {}
-    for fa in answer.assignments:
-        indices = _facet_indices(m, fa.player, fa.question_bit)
-        for pos, encoding in enumerate(indices):
-            sign = 1 - 2 * ((fa.mask >> pos) & 1)
-            if orbit.setdefault(facet_slot(m, 1, encoding), sign) != sign:
-                return False
-    return True
+    return all(
+        fa.mask == sum((first >> s & 1) << k for k, s in enumerate(copy_sources(m, fa.player, fa.question_bit)))
+        for fa in answer.assignments[1:]
+    )
 
 
 def build_ns_correlation(m: int) -> SparseCorrelation:
@@ -95,13 +93,10 @@ def build_ns_correlation(m: int) -> SparseCorrelation:
     place = np.uint64(1) << np.arange(size, dtype=np.uint64)
     support: dict[Bits, tuple[MaskTuple, ...]] = {}
     for q in all_questions(m):
-        rows = (bits.sum(axis=1) & 1) == q[0]
+        rows = (bits.sum(axis=1) & 1) == required_parity(1, q[0])
         columns = [player1[rows]]
         for i in range(2, m + 1):
-            # each vertex of player i's facet takes player 1's label on its
-            # x1-flip orbit, which sits in the vertex's player-1 slot
-            source = [facet_slot(m, 1, e) for e in _facet_indices(m, i, q[i - 1])]
-            columns.append((bits[rows][:, source] * place).sum(axis=1, dtype=np.uint64))
+            columns.append((bits[rows][:, copy_sources(m, i, q[i - 1])] * place).sum(axis=1, dtype=np.uint64))
         # player 1's masks are distinct and ascending, so the rows are sorted as tuples
         support[q] = tuple(map(tuple, np.stack(columns, axis=1).tolist()))
     return SparseCorrelation(m, Fraction(1, 2 ** (size - 1)), support)

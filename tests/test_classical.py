@@ -6,14 +6,23 @@ import pytest
 
 from hcgame.classical import (
     DeterministicStrategy,
+    _candidate_masks,
     _win_totals,
     brute_force_classical_value,
     canonical_strategy,
     classical_value_formula,
-    enumerate_strategies,
     strategy_value,
 )
-from hcgame.game import FacetAssignment, all_questions, answer_from_masks, parity_ok, predicate
+from hcgame.game import (
+    FacetAssignment,
+    all_questions,
+    answer_from_masks,
+    parity_ok,
+    predicate,
+    product_over_intersection,
+    relaxed_predicate,
+)
+from oracles import enumerate_strategies
 
 
 def test_formula_values():
@@ -88,6 +97,34 @@ def test_every_strategy_bounded_by_formula_m2():
         assert v <= bound
         best = max(best, v)
     assert best == bound
+
+
+def test_relaxed_game_classical_value_m3():
+    # every parity-valid deterministic strategy of the relaxed game (8 masks of
+    # the required parity per player and bit, 8^6 strategies) on one grid with
+    # an axis per (player 1 bit 0, player 1 bit 1, player 2 bit 0, ...); a
+    # question is won when each partner's intersection product equals player 1's
+    m = 3
+    candidates = _candidate_masks(m, restrict_parity=True)
+
+    def along(values, axis):
+        return np.reshape(values, [-1 if a == axis else 1 for a in range(2 * m)])
+
+    totals = np.zeros((8,) * (2 * m), dtype=np.uint8)
+    for q in all_questions(m):
+        won = np.ones_like(totals, dtype=bool)
+        for i in range(2, m + 1):
+            edge = (q[0], i, q[i - 1])
+            first = [product_over_intersection(m, 1, mask, *edge) for mask in candidates[0][q[0]]]
+            other = [product_over_intersection(m, i, mask, *edge) for mask in candidates[i - 1][q[i - 1]]]
+            won &= along(first, q[0]) == along(other, 2 * (i - 1) + q[i - 1])
+        totals += won
+    assert Fraction(int(totals.max()), 1 << m) == classical_value_formula(3) == Fraction(5, 8)
+    # the best strategy, scored one answer at a time by relaxed_predicate
+    best = np.unravel_index(int(np.argmax(totals)), totals.shape)
+    masks = [[candidates[p][b][best[2 * p + b]] for b in (0, 1)] for p in range(m)]
+    answers = [(q, answer_from_masks(m, q, [masks[p][q[p]] for p in range(m)])) for q in all_questions(m)]
+    assert sum(relaxed_predicate(answer, q) for q, answer in answers) == 5
 
 
 def _reference_totals(candidates, m):

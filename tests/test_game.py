@@ -10,7 +10,6 @@ from hcgame import game
 from hcgame.game import (
     Answer,
     FacetAssignment,
-    all_answers,
     all_questions,
     answer_from_masks,
     batch_predicate,
@@ -28,6 +27,7 @@ from hcgame.game import (
 )
 from hcgame.classical import _candidate_masks
 from hcgame.quantum import QuantumStrategy, _pinned_mask, outcome_to_answer
+from oracles import all_answers
 
 
 def test_vertex_encoding_roundtrip():
@@ -158,28 +158,27 @@ def test_predicate_checks_question_match():
 
 
 def test_product_over_intersection():
-    fa = FacetAssignment.from_values(2, 1, 1, (1, -1))
-    assert product_over_intersection(fa, 1, 1) == -1
-    assert product_over_intersection(fa, 1, 0) == 1
-    all_plus = FacetAssignment.from_values(3, 2, 0, (1, 1, 1, 1))
-    assert product_over_intersection(all_plus, 0, 0) == 1
-    # player 1 at m=3 needs the partner index
-    fa1 = FacetAssignment.from_values(3, 1, 1, (1, 1, 1, -1))
-    with pytest.raises(ValueError):
-        product_over_intersection(fa1, 1, 1)
+    # player 1 at q1 = 1 labels (1,0),(1,1) with +1,-1; partner 2's facet meets it at (1,q2)
+    assert product_over_intersection(2, 1, 0b10, 1, 2, 1) == -1
+    assert product_over_intersection(2, 1, 0b10, 1, 2, 0) == 1
+    assert product_over_intersection(3, 2, 0, 0, 2, 0) == 1
     # intersection with (i=2, q2=1) is {(1,1,0), (1,1,1)}: entries at facet slots 2, 3
-    assert product_over_intersection(fa1, 1, 1, partner=2) == -1
-    with pytest.raises(ValueError):
-        product_over_intersection(fa1, 0, 1, partner=2)
+    assert product_over_intersection(3, 1, 0b1000, 1, 2, 1) == -1
+    assert product_over_intersection(3, 1, 0b1000, 1, 3, 1) == -1
+    assert product_over_intersection(3, 1, 0b1000, 1, 2, 0) == 1
+    # a mask outside the facet, or a player that is neither 1 nor the partner
+    for args in ((3, 1, 16, 1, 2, 1), (3, 1, -1, 1, 2, 1), (3, 1, 1.0, 1, 2, 1), (3, 3, 0, 1, 2, 1)):
+        with pytest.raises(ValueError):
+            product_over_intersection(*args)
 
 
 def _per_vertex_product(fa, q1, q_i, partner):
     """The product as the facet-by-vertex walk: every vertex with x_1 = q1
     and x_i = q_i, its label looked up on the facet, multiplied in turn."""
-    m, i = fa.m, partner if fa.player == 1 else fa.player
+    m = fa.m
     sign = 1
     for e in range(1 << m):
-        if (e >> (m - 1)) & 1 == q1 and (e >> (m - i)) & 1 == q_i:
+        if (e >> (m - 1)) & 1 == q1 and (e >> (m - partner)) & 1 == q_i:
             sign *= fa.value_at(vertex_bits(e, m))
     return sign
 
@@ -211,7 +210,7 @@ def test_product_over_intersection_is_the_per_vertex_product():
     cases += [next(_intersection_cases(16, lambda player, bit: [rng.getrandbits(1 << 15)]))]
     signs = set()
     for fa, q1, q_i, partner in cases:
-        product = product_over_intersection(fa, q1, q_i, partner=partner)
+        product = product_over_intersection(fa.m, fa.player, fa.mask, q1, partner, q_i)
         assert product == _per_vertex_product(fa, q1, q_i, partner), (fa, q1, q_i, partner)
         signs.add(product)
         shared = game.intersection_mask(fa.m, fa.player, q1, partner, q_i)
@@ -328,10 +327,8 @@ def test_chsh_bit_embedding_exhaustive():
                 assert won == int((a1 ^ a2) == q[0] * q[1])
 
 
-def test_all_answers_counts_and_cap():
+def test_all_answers_counts():
     assert sum(1 for _ in all_answers(2, (0, 0))) == 16
-    with pytest.raises(ValueError):
-        next(all_answers(4, (0, 0, 0, 0)))
 
 
 def test_answer_validation():

@@ -72,9 +72,9 @@ def test_edge_observable_parity_identities():
 def _edge_from_answers(strategy, owner, q1, qi):
     """The edge observable through whole answers: each outcome of the owner
     (everyone else +1) made into an Answer, and the owner's facet labels
-    multiplied over the intersection by product_over_intersection."""
+    multiplied vertex by vertex over the intersection with the partner's facet."""
     m = strategy.m
-    own_bit, partner = (q1, 2) if owner == 1 else (qi, None)
+    own_bit, partner = (q1, 2) if owner == 1 else (qi, owner)
     observable = strategy.observable(owner, own_bit)
     eye = np.eye(2, dtype=complex)
     full_q = (q1,) + (qi,) * (m - 1)
@@ -82,7 +82,7 @@ def _edge_from_answers(strategy, owner, q1, qi):
     for o in (1, -1):
         outcome = tuple(o if player == owner else 1 for player in range(1, m + 1))
         fa = quantum.outcome_to_answer(strategy, full_q, outcome).assignments[owner - 1]
-        product = game.product_over_intersection(fa, q1, qi, partner=partner)
+        product = math.prod(fa.value_at(v) for v in game.intersection_vertices(m, q1, partner, qi))
         operator = operator + product * (eye + o * observable) / 2.0
     return operator
 

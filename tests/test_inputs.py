@@ -4,7 +4,6 @@ the site's range, raises ValueError; no float is truncated and no negative
 mask overflows.  Every bit goes through one bit rule and every question
 through one question rule."""
 
-import itertools
 import math
 
 import numpy as np
@@ -33,13 +32,7 @@ SITES = [
     ("game.intersection_vertices", lambda i: game.intersection_vertices(3, 0, i, 0), 2, 3),
     ("game.facet_slot player", lambda i: game.facet_slot(3, i, 0), 1, 3),
     ("game.facet_slot vertex", lambda e: game.facet_slot(3, 1, e), 0, 7),
-    (
-        "game.product_over_intersection",
-        lambda i: game.product_over_intersection(FacetAssignment(3, 1, 0, 0), 0, 0, partner=i),
-        2,
-        3,
-    ),
-    ("game.all_answers", lambda m: game.all_answers(m, (0, 0)), 2, game.ENUMERATION_MAX_DIMENSION),
+    ("game.product_over_intersection", lambda i: game.product_over_intersection(3, 1, 0, 0, i, 0), 2, 3),
     ("game.all_questions", game.all_questions, 2, game.MAX_DIMENSION),
     ("quantum.ghz_state", quantum.ghz_state, 2, quantum.GHZ_MAX_QUBITS),
     ("quantum.check_power", quantum.check_power, 1, math.inf),
@@ -66,7 +59,6 @@ SITES = [
     ("nosignalling.build_ns_correlation", build_ns_correlation, 2, nosignalling.NS_MAX_DIMENSION),
     ("nosignalling.verify_no_signalling", lambda k: nosignalling.verify_no_signalling(_NS2, k), 1, 2),
     ("classical.brute_force_classical_value", classical.brute_force_classical_value, 2, 3),
-    ("classical.enumerate_strategies", classical.enumerate_strategies, 2, 2),
     ("linalg.matpow", lambda k: linalg.matpow(_GATE, k), 0, linalg.MAX_MATRIX_POWER),
     ("linalg.apply_single_qubit", lambda q: linalg.apply_single_qubit(_STATE, _GATE, q), 0, 1),
 ]
@@ -152,7 +144,7 @@ BIT_AND_QUESTION_SITES = [
     ("game.intersection_mask q_i", None, lambda b: game.intersection_mask(3, 2, 0, 2, b)),
     ("FacetAssignment", None, lambda b: FacetAssignment(2, 1, b, 1)),
     ("FacetAssignment.value_at", None, lambda b: FacetAssignment(2, 2, 1, 2).value_at((1, b))),
-    ("game.product_over_intersection", None, lambda b: game.product_over_intersection(FacetAssignment(2, 1, 1, 1), b, b)),
+    ("game.product_over_intersection", None, lambda b: game.product_over_intersection(2, 1, 1, b, 2, b)),
     ("game.chsh_bit_embedding bits", None, lambda b: game.chsh_bit_embedding(b, b, (1, 0))),
     ("QuantumStrategy.angle", None, lambda b: _S3.angle(2, b)),
     ("inequalities.induced_edge_observable", None, lambda b: inequalities.induced_edge_observable(_S3, 2, b, b)),
@@ -163,7 +155,6 @@ BIT_AND_QUESTION_SITES = [
     ("game.predicate", 3, lambda q: game.predicate(_A3, q)),
     ("game.consistency_ok", 3, lambda q: game.consistency_ok(_A3, q)),
     ("game.relaxed_predicate", 3, lambda q: game.relaxed_predicate(_A3, q)),
-    ("game.all_answers", 3, lambda q: list(itertools.islice(game.all_answers(3, q), 3))),
     ("game.chsh_bit_embedding question", 2, lambda q: game.chsh_bit_embedding(1, 0, q)),
     ("DeterministicStrategy.answer", 3, lambda q: classical.canonical_strategy(3).answer(q)),
     ("nosignalling.in_Z", 3, lambda q: nosignalling.in_Z(_A3, q)),
@@ -201,3 +192,23 @@ def test_every_bit_is_zero_or_one_and_every_question_has_m_bits(m, call):
     for value in refused:
         with pytest.raises(ValueError):
             call(value)
+
+
+# S = 2I, T = 0 gives (I + S) + (I + T) = 4I, above r* = 1 + sqrt 2 at M = 1:
+# it fails at the default tol and would pass at an infinite one
+_PAIR = inequalities.ConstrainedPair(2 * np.eye(2, dtype=complex)[None], np.zeros((1, 2, 2), dtype=complex))
+
+# (site, call taking the tolerance): every tol goes through one tolerance rule
+TOLERANCE_SITES = [
+    ("inequalities.verify_lemma2", lambda tol: inequalities.verify_lemma2(_PAIR, [[1.0, 0.0]], 1, tol)),
+    ("inequalities.run_lemma2_trials", lambda tol: inequalities.run_lemma2_trials(2, tol=tol)),
+    ("inequalities.verify_converse_chain", lambda tol: inequalities.verify_converse_chain([_S3], [_Q], tol)),
+]
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-3], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize("call", [site[1] for site in TOLERANCE_SITES], ids=[site[0] for site in TOLERANCE_SITES])
+def test_every_tolerance_is_finite_and_non_negative(call, tol):
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        call(tol)
+    call(0.0)

@@ -33,7 +33,7 @@ def test_in_Z_examples():
     q = (1, 0)
     assert not in_Z(answer_from_masks(2, q, (0, 0)), q)
 
-    # pairwise inconsistency is rejected through the orbit extension
+    # pairwise inconsistency is rejected: player 2's mask is not the copy of player 1's
     q = (1, 1)
     a = Answer(
         (
