@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import io
 import json
 import math
@@ -279,6 +280,16 @@ def test_out_of_range_flags_are_usage_errors(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["quantum", "lemma2", "converse"])
+@pytest.mark.parametrize("text", ["inf", "nan", "-1e-3", "1e400"])
+def test_a_refused_tolerance_is_quoted_as_typed(suite, text, capsys):
+    # "--tol=-1e-3": argparse reads a bare "-1e-3" as an option, not a value
+    with pytest.raises(SystemExit) as err:
+        main(["verify", suite, f"--tol={text}"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --tol: must be finite and >= 0, got {text}\n")
 
 
 def test_largest_and_smallest_m_are_accepted():
@@ -692,3 +703,55 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
     default, two = _child(argv), _child(argv, OPENBLAS_NUM_THREADS="2")
     assert default.stdout and default.returncode in (0, 1), default.stderr
     assert (two.stdout, two.returncode) == (default.stdout, default.returncode)
+
+
+def _outcome(run, capsys):
+    """The exit code and stdout of ``run()``, a usage error's SystemExit included."""
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+# runs the module as python -m hcgame.cli does, then reports the frozen object count at exit
+FREEZE_COUNT_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+runpy.run_module("hcgame.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_cli_process_freezes_its_startup_heap(capsys):
+    argv = ["verify", "classical", "--m", "2"]
+    child = _child(["-c", FREEZE_COUNT_AT_EXIT, *argv])
+    frozen = [int(line.split()[1]) for line in child.stderr.splitlines() if line.startswith("frozen ")]
+    assert len(frozen) == 1 and frozen[0] > 0, child.stderr
+    assert (child.returncode, child.stdout) == _outcome(lambda: main(argv), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "classical", "--m", "2"], 0), (["verify", "quantum", "--m", "3"], 1), (["verify", "classical", "--m", "4"], 2)],
+)
+def test_the_entry_freezes_then_returns_mains_code(argv, code, capsys, monkeypatch):
+    expected = _outcome(lambda: main(argv), capsys)
+    assert expected[0] == code
+    events = []
+    monkeypatch.setattr(sys, "argv", ["hcgame", *argv])
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or main())
+    assert _outcome(cli.entry, capsys) == expected
+    assert events == ["freeze", "main"]
+
+
+def _collector_state():
+    return gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
+
+
+def test_imports_and_in_process_runs_leave_the_collector_alone(capsys):
+    child = _child(["-c", "import gc, hcgame, hcgame.cli; print(gc.get_freeze_count(), gc.isenabled())"])
+    assert child.stdout.split() == ["0", "True"], child.stderr
+    before = _collector_state()
+    assert run_cli(capsys, "verify", "classical", "--m", "2")[0] == 0
+    assert _collector_state() == before

@@ -18,3 +18,20 @@ def test_no_module_uses_an_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+# calls that retune the cyclic garbage collector for the whole process
+GC_TUNING = {"freeze", "disable", "set_threshold"}
+
+
+def test_only_the_cli_entry_retunes_the_collector():
+    # the CLI entry freezes a whole process's start-up heap; imports, library
+    # calls and in-process main() keep the interpreter's collector as it was
+    found = [
+        f"{path.name}:{node.attr if isinstance(node, ast.Attribute) else 'from gc import'}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "gc" and node.attr in GC_TUNING)
+        or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+    ]
+    assert found == ["cli.py:freeze"]
