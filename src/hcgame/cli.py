@@ -12,6 +12,7 @@ import contextlib
 import gc
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -110,14 +111,21 @@ class UnwritablePathError(OSError):
     """An output path that cannot be written; the CLI reports it as a usage error."""
 
 
+class UnwritableStdoutError(UnwritablePathError):
+    """Standard output cannot be written; entry() then sends the exit flush to os.devnull."""
+
+
 @contextlib.contextmanager
-def _open_out(path: str):
-    """An output file; an error opening, writing or closing it is an UnwritablePathError."""
+def _open_out(path: str | None):
+    """An output file, or standard output if ``path`` is None, flushed on leaving;
+    an error opening, writing, flushing or closing it is an UnwritablePathError."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as handle:
             yield handle
+            handle.flush()
     except OSError as exc:
-        raise UnwritablePathError(f"cannot write {path}: {exc}") from exc
+        error = UnwritableStdoutError if path is None else UnwritablePathError
+        raise error(f"cannot write {'standard output' if path is None else path}: {exc}") from exc
 
 
 def verify_classical(m: int, seed: int) -> dict:
@@ -403,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_values(args) -> int:
     lo, hi = (args.m, args.m) if args.m is not None else args.m_range
     rows = [value_row(m) for m in range(lo, hi + 1)]
-    with contextlib.nullcontext(sys.stdout) if args.out is None else _open_out(args.out) as out:
+    with _open_out(args.out) as out:
         if args.format == "csv":
             # the columns are value_row's keys, in its order
             out.write(",".join(rows[0]) + "\n")
@@ -424,7 +432,8 @@ def cmd_figure3(args) -> int:
 
 def cmd_verify(args) -> int:
     report = args.report(args)
-    print(json.dumps(report, indent=2))
+    with _open_out(None) as out:
+        out.write(json.dumps(report, indent=2) + "\n")
     return 0 if report["pass"] else 1
 
 
@@ -447,7 +456,12 @@ def entry() -> int:
     run creates are collected as before.  Imports and ``main`` leave the
     collector alone."""
     gc.freeze()
-    return main()
+    try:
+        return main()
+    except SystemExit as exc:
+        if isinstance(exc.__context__, UnwritableStdoutError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise
 
 
 if __name__ == "__main__":

@@ -663,14 +663,16 @@ def test_whole_runs_keep_the_exit_code_contract(argv):
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _child(args, **preset):
+def _child(args, stdout=subprocess.PIPE, **preset):
     """A fresh interpreter with none of the BLAS thread variables but
     ``preset`` (this process imported hcgame, so its own environment holds
     the default), and this checkout's package first on the path."""
     env = {name: value for name, value in os.environ.items() if name not in BLAS_THREADS}
     env.update(preset)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(hcgame.__file__).parents[1]), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120, check=False)
+    return subprocess.run(
+        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, check=False
+    )
 
 
 def _blas_env_after(imports, **preset):
@@ -696,6 +698,21 @@ def test_a_user_set_blas_thread_count_wins(name):
 def test_hcgame_imported_after_numpy_leaves_the_environment_alone():
     assert _blas_env_after("numpy, hcgame") == dict.fromkeys(BLAS_THREADS)
     assert _blas_env_after("hcgame") == {"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+
+
+def test_the_package_namespace_holds_its_modules_only():
+    # every public name is imported from its module; import hcgame loads them all
+    code = (
+        "import hcgame, json, os, sys, types; print(json.dumps(["
+        "[k for k, v in vars(hcgame).items() if not k.startswith('_') and not isinstance(v, types.ModuleType)],"
+        "sorted(k for k in sys.modules if k.startswith('hcgame.')), [os.environ.get(name) for name in sys.argv[1:]]]))"
+    )
+    child = _child(["-c", code, *BLAS_THREADS])
+    assert child.returncode == 0, child.stderr
+    plain, modules, blas = json.loads(child.stdout)
+    assert plain == []
+    assert modules == [f"hcgame.{name}" for name in ("classical", "game", "inequalities", "linalg", "nosignalling", "quantum")]
+    assert blas == ["1", "1", None]
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
@@ -755,3 +772,41 @@ def test_imports_and_in_process_runs_leave_the_collector_alone(capsys):
     before = _collector_state()
     assert run_cli(capsys, "verify", "classical", "--m", "2")[0] == 0
     assert _collector_state() == before
+
+
+def _assert_unwritable_stdout(child):
+    # a usage error with one message: never a traceback (exit 1) or a failed flush at exit (exit 120)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.count("cannot write standard output") == 1, child.stderr
+    assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
+
+
+# PYTHONUNBUFFERED set fails the first write; unset (empty) fails the flush of a buffered stdout
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [["verify", "classical", "--m", "2"], ["values", "--m", "3"]])
+def test_a_full_stdout_is_a_usage_error(argv, unbuffered):
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        child = _child(["-m", "hcgame.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)
+    _assert_unwritable_stdout(child)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_pipe_on_stdout_is_a_usage_error(unbuffered):
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        child = _child(["-m", "hcgame.cli", "values", "--m-range", "2:64"], stdout=writer, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(writer)
+    _assert_unwritable_stdout(child)
+
+
+@pytest.mark.parametrize("argv", [["verify", "classical", "--m", "2"], ["values", "--m", "3"]])
+def test_an_unwritable_stdout_in_process_is_a_usage_error(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullDisk())
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr().err
+    assert "cannot write standard output: [Errno 28]" in captured and "Traceback" not in captured

@@ -35,3 +35,11 @@ def test_only_the_cli_entry_retunes_the_collector():
         or (isinstance(node, ast.ImportFrom) and node.module == "gc")
     ]
     assert found == ["cli.py:freeze"]
+
+
+def test_the_package_imports_its_modules_and_re_exports_no_name():
+    # each public name has one home, its module; the package namespace holds the modules
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = sorted(path.stem for path in SOURCE.glob("*.py") if path.stem not in ("__init__", "cli"))
+    assert [(node.module, [alias.name for alias in node.names]) for node in relative] == [(None, modules)]
