@@ -461,6 +461,12 @@ def entry() -> int:
     except SystemExit as exc:
         if isinstance(exc.__context__, UnwritableStdoutError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # argparse swallows a failed write of its message, which would fail the exit flush (exit 120)
+        try:
+            if sys.stderr is not None:
+                sys.stderr.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         raise
 
 

@@ -94,13 +94,14 @@ def induced_edge_observable(
     q1, qi = game.check_bit(q1), game.check_bit(qi)
     own_bit, partner = (q1, 2) if owner == 1 else (qi, owner)
     # raises ValueError unless the owner is a player of the strategy
-    observable = strategy.observable(owner, own_bit)
-    eye = np.eye(2, dtype=complex)
-    operator = np.zeros((2, 2), dtype=complex)
+    entries = [z for row in quantum._z_entries(strategy.angle(owner, own_bit)) for z in row]
+    # operator + product (I + o Z) / 2 per entry on Python scalars, in numpy's 2x2 complex steps
+    operator = [0j] * 4
     for o, minus in ((1, 0), (-1, 1)):
         pinned = quantum._pinned_mask(m, owner, own_bit, minus)
         product = game.product_over_intersection(m, owner, pinned, q1, partner, qi)
-        operator = operator + product * (eye + o * observable) / 2.0
+        operator = [acc + product * (eye + o * z) / 2.0 for acc, eye, z in zip(operator, (1.0, 0.0, 0.0, 1.0), entries)]
+    operator = np.array([operator[:2], operator[2:]])
     operator.setflags(write=False)
     return operator
 

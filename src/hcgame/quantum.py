@@ -70,6 +70,11 @@ class QuantumStrategy:
         game.check_player_count(self.m)
         if not isinstance(self.alpha, numbers.Real) or not 0.0 <= self.alpha <= math.pi / 2.0 + 1e-12:
             raise ValueError(f"alpha must be a real number in [0, pi/2], got {self.alpha!r}")
+        # the edge cache hashes a strategy per lookup; _hash is not a field, so eq, repr and replace ignore it
+        object.__setattr__(self, "_hash", hash((self.m, self.alpha)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def angle(self, player: int, question_bit: int) -> float:
         game.check_int(player, 1, self.m, "player index")
@@ -298,6 +303,11 @@ def r_excess_scaled(theta: float, power: int) -> float:
     log1p(-2 sin^2(h/2)), which survives t as small as 2^(2-M).
     """
     check_power(power)
+    return _r_excess(theta, power)
+
+
+def _r_excess(theta: float, power: int) -> float:
+    """:func:`r_excess_scaled` for an exponent already checked."""
     half_sin = math.sin(0.25 * theta)
     first = math.expm1(2.0 * power * math.log1p(-2.0 * half_sin * half_sin))
     second = 0.5 ** power * math.expm1(power * math.log1p(math.sin(theta)))
@@ -307,6 +317,18 @@ def r_excess_scaled(theta: float, power: int) -> float:
 class RMaximum(NamedTuple):
     theta_star: float
     r_star: float
+
+
+@lru_cache(maxsize=1)
+def _r_bases() -> tuple[np.ndarray, np.ndarray]:
+    """(1+cos)/2 and (1+sin)/2 on maximize_r's grid, built on first use and in
+    place, since temporaries freed between kept arrays would raise peak RSS."""
+    grid = np.linspace(0.0, math.pi / 4.0, GRID_POINTS)
+    bases = np.cos(grid), np.sin(grid)
+    for base in bases:
+        base += 1.0
+        base /= 2.0
+    return bases
 
 
 # typed, so a float such as 2.0 is checked instead of hitting the entry of 2
@@ -322,15 +344,9 @@ def maximize_r(power: int) -> RMaximum:
     cannot pin them (theta* shrinks like 2^(2-M)).
     """
     check_power(power)
-
-    def f(t: float) -> float:
-        # the constant offset drops out; the excess form keeps full relative
-        # precision even when the bump is far below 1 ulp of r itself
-        return r_excess_scaled(t, power)
-
     grid = np.linspace(0.0, math.pi / 4.0, GRID_POINTS)
-    values = ((1.0 + np.cos(grid)) / 2.0) ** power + ((1.0 + np.sin(grid)) / 2.0) ** power
-    k = int(np.argmax(values))
+    cos_base, sin_base = _r_bases()
+    k = int(np.argmax(cos_base ** power + sin_base ** power))
     a = float(grid[max(k - 1, 0)])
     b = float(grid[min(k + 1, GRID_POINTS - 1)])
 
@@ -341,18 +357,20 @@ def maximize_r(power: int) -> RMaximum:
     steps = math.ceil((math.log(b - a) - log_width) / -math.log(_INVPHI))
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    # the objective is r's excess: the offset drops out, and it keeps full
+    # relative precision even where the bump is far below 1 ulp of r itself
+    f1, f2 = _r_excess(x1, power), _r_excess(x2, power)
     for _ in range(steps):
         if b - a <= THETA_INTERVAL_TOL and b - a <= THETA_RELATIVE_TOL * b:
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
+            f2 = _r_excess(x2, power)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
+            f1 = _r_excess(x1, power)
     theta = 0.5 * (a + b)
     return RMaximum(theta, r_function(theta, power))
 

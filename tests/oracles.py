@@ -1,4 +1,5 @@
-"""Exhaustive enumerators that the tests use as oracles.
+"""Exhaustive enumerators and plain reference kernels that the tests use
+as oracles.
 
 The answer space of a question has (2^(2^(m-1)))^m elements and the
 strategy space of the game its square, so these walks stay cheap only at
@@ -6,7 +7,11 @@ m = 2 (strategies) and m <= 3 (answers); no library code calls them.
 """
 
 import itertools
+import math
 
+import numpy as np
+
+from hcgame import quantum
 from hcgame.classical import DeterministicStrategy, _candidate_masks
 from hcgame.game import FacetAssignment, answer_from_masks
 
@@ -30,3 +35,33 @@ def enumerate_strategies(m: int):
         for p in range(m)
     ]
     return (DeterministicStrategy(m, combo) for combo in itertools.product(*pools))
+
+
+def maximize_r_grid_per_call(power: int) -> quantum.RMaximum:
+    """quantum.maximize_r with its theta grid and the grid's (1+cos)/2 and
+    (1+sin)/2 bases built inside the call, and each golden-section step
+    through the checked r_excess_scaled."""
+    quantum.check_power(power)
+    grid = np.linspace(0.0, math.pi / 4.0, quantum.GRID_POINTS)
+    values = ((1.0 + np.cos(grid)) / 2.0) ** power + ((1.0 + np.sin(grid)) / 2.0) ** power
+    k = int(np.argmax(values))
+    a = float(grid[max(k - 1, 0)])
+    b = float(grid[min(k + 1, quantum.GRID_POINTS - 1)])
+    invphi = quantum._INVPHI
+    log_width = min(math.log(quantum.THETA_INTERVAL_TOL), math.log(quantum.THETA_RELATIVE_TOL) - power * math.log(2.0))
+    steps = math.ceil((math.log(b - a) - log_width) / -math.log(invphi))
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = quantum.r_excess_scaled(x1, power), quantum.r_excess_scaled(x2, power)
+    for _ in range(steps):
+        if b - a <= quantum.THETA_INTERVAL_TOL and b - a <= quantum.THETA_RELATIVE_TOL * b:
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = quantum.r_excess_scaled(x2, power)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = quantum.r_excess_scaled(x1, power)
+    theta = 0.5 * (a + b)
+    return quantum.RMaximum(theta, quantum.r_function(theta, power))

@@ -663,7 +663,7 @@ def test_whole_runs_keep_the_exit_code_contract(argv):
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _child(args, stdout=subprocess.PIPE, **preset):
+def _child(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **preset):
     """A fresh interpreter with none of the BLAS thread variables but
     ``preset`` (this process imported hcgame, so its own environment holds
     the default), and this checkout's package first on the path."""
@@ -671,7 +671,7 @@ def _child(args, stdout=subprocess.PIPE, **preset):
     env.update(preset)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(hcgame.__file__).parents[1]), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, check=False
+        [sys.executable, *args], env=env, stdout=stdout, stderr=stderr, text=True, timeout=120, check=False
     )
 
 
@@ -693,6 +693,13 @@ def test_a_fresh_cli_process_runs_one_thread():
 @pytest.mark.parametrize("name", BLAS_THREADS)
 def test_a_user_set_blas_thread_count_wins(name):
     assert _blas_env_after("hcgame.cli", **{name: "2"}) == {other: "2" if other == name else None for other in BLAS_THREADS}
+
+
+def test_importing_the_cli_builds_no_r_grid_bases():
+    # verify classical and verify nosignalling never maximise r, so they never pay for the bases
+    child = _child(["-c", "import hcgame.cli; print(hcgame.quantum._r_bases.cache_info().currsize)"])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "0"
 
 
 def test_hcgame_imported_after_numpy_leaves_the_environment_alone():
@@ -810,3 +817,62 @@ def test_an_unwritable_stdout_in_process_is_a_usage_error(argv, capsys, monkeypa
     assert err.value.code == 2
     captured = capsys.readouterr().err
     assert "cannot write standard output: [Errno 28]" in captured and "Traceback" not in captured
+
+
+# a traceback exits 1 and a failed flush of stderr at interpreter exit 120;
+# neither can print anything here, since stderr is the full device
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize(
+    "argv, full_stdout", [(["verify", "classical", "--m", "5"], False), (["verify", "classical", "--m", "2"], True)]
+)
+def test_a_full_stderr_keeps_a_usage_error_at_exit_code_2(argv, full_stdout, unbuffered):
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        stdout = full if full_stdout else subprocess.PIPE
+        child = _child(["-m", "hcgame.cli", *argv], stdout=stdout, stderr=full, PYTHONUNBUFFERED=unbuffered)
+    assert child.returncode == 2
+    assert not child.stdout
+
+
+class _Stderr:
+    """A stderr on the file descriptor ``fd`` that keeps what it is sent and
+    whose flush fails, as on a full device, when ``full`` is set."""
+
+    def __init__(self, fd, full):
+        self.fd, self.full, self.text = fd, full, []
+
+    def write(self, text):
+        self.text.append(text)
+        return len(text)
+
+    def flush(self):
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_the_entry_sends_an_unflushable_stderr_to_devnull_only(full, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hcgame", "verify", "classical", "--m", "5"])
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    with open(tmp_path / "stderr", "w", encoding="utf-8") as target:
+        stderr = _Stderr(target.fileno(), full)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        with pytest.raises(SystemExit) as err:
+            cli.entry()
+        assert err.value.code == 2 and "usage:" in "".join(stderr.text)
+        # the exit flush of the kept message then goes to os.devnull; a
+        # flushable stderr keeps its descriptor
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull)) is full
+
+
+def test_the_entry_without_a_stderr_keeps_a_usage_error_at_exit_code_2(monkeypatch):
+    # an interpreter started with no usable standard error has sys.stderr None
+    monkeypatch.setattr(sys, "argv", ["hcgame", "verify", "classical", "--m", "5"])
+    monkeypatch.setattr(cli.gc, "freeze", lambda: None)
+    monkeypatch.setattr(sys, "stderr", None)
+    with pytest.raises(SystemExit) as err:
+        cli.entry()
+    assert err.value.code == 2

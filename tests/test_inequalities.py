@@ -89,7 +89,9 @@ def _edge_from_answers(strategy, owner, q1, qi):
 
 def test_edge_observable_equals_the_answer_derivation_exactly():
     for m in range(2, 7):
-        for alpha in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+        # and every alpha of two sweep grids
+        sweeps = (*np.linspace(0, math.pi / 2, 16), *np.linspace(0, math.pi / 2, 32))
+        for alpha in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2, *sweeps):
             s = QuantumStrategy(m, alpha)
             for owner in range(1, m + 1):
                 for q1 in (0, 1):

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from hcgame.quantum import (
     winning_probability_operator,
     winning_probability_simulated,
 )
+from oracles import maximize_r_grid_per_call
 
 SQRT2 = math.sqrt(2.0)
 
@@ -260,6 +263,12 @@ def test_maximize_r_beats_grid():
             assert r_function(float(theta), power) <= r_star * (1 + 1e-12)
 
 
+def test_maximize_r_equals_a_grid_built_per_call():
+    # the golden file covers exponents 1..63; lemma 3 asks for up to 510
+    for power in range(1, 511):
+        assert maximize_r.__wrapped__(power) == maximize_r_grid_per_call(power), power
+
+
 def test_maximize_r_power9_bounds():
     _, r_star = maximize_r(9)
     assert 2 ** 9 + 1 + 9 / 2 ** 10 <= r_star <= 2 ** 9 + 1 + 72 / 2 ** 10
@@ -318,6 +327,27 @@ def test_strategy_validation():
         with pytest.raises(ValueError, match="alpha"):
             QuantumStrategy(2, alpha)
     assert QuantumStrategy(2, np.float64(0.3)) == QuantumStrategy(2, 0.3)
+
+
+def test_equal_strategies_hash_alike_and_share_one_edge_cache_entry():
+    base = QuantumStrategy(3, 0)
+    twins = [
+        QuantumStrategy(3, 0.0),
+        QuantumStrategy(3, np.float64(0.0)),
+        dataclasses.replace(base),
+        pickle.loads(pickle.dumps(base)),
+    ]
+    assert [field.name for field in dataclasses.fields(QuantumStrategy)] == ["m", "alpha"]
+    assert repr(base) == "QuantumStrategy(m=3, alpha=0)"
+    for strategy in (base, *twins):
+        assert strategy == base and hash(strategy) == hash((strategy.m, strategy.alpha)) == hash((3, 0))
+    assert QuantumStrategy(3, 0.1) != base and hash(dataclasses.replace(base, alpha=0.1)) == hash((3, 0.1))
+    edge = inequalities.induced_edge_observable
+    cached = edge(base, 2, 0, 1)
+    before = edge.cache_info()
+    assert all(edge(twin, 2, 0, 1) is cached for twin in twins)
+    after = edge.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (len(twins), 0)
 
 
 @pytest.mark.parametrize(
