@@ -115,6 +115,17 @@ class UnwritableStdoutError(UnwritablePathError):
     """Standard output cannot be written; entry() then sends the exit flush to os.devnull."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help text goes to standard output through
+    :func:`_open_out`: argparse would drop a failed write and exit 0."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        with _open_out(None) as out:
+            out.write(self.format_help())
+
+
 @contextlib.contextmanager
 def _open_out(path: str | None):
     """An output file, or standard output if ``path`` is None, flushed on leaving;
@@ -344,7 +355,7 @@ def _m_values(m: int | None, m_top: int) -> list[int]:
 def build_parser() -> argparse.ArgumentParser:
     """Each command sets ``run(args)`` and each verify suite ``report(args)``;
     a lambda looks its ``verify_*`` function up when the suite runs."""
-    parser = argparse.ArgumentParser(prog="hcgame", description=__doc__)
+    parser = _Parser(prog="hcgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # every command and every verify suite takes these
     common = argparse.ArgumentParser(add_help=False)
@@ -439,10 +450,11 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "subset_max", None) is not None and args.subset_max > args.m:
-        parser.error(f"--subset-max must be in [1, {args.m}] for m = {args.m}, got {args.subset_max}")
     try:
+        # parse_args writes the --help text through _open_out
+        args = parser.parse_args(argv)
+        if getattr(args, "subset_max", None) is not None and args.subset_max > args.m:
+            parser.error(f"--subset-max must be in [1, {args.m}] for m = {args.m}, got {args.subset_max}")
         return args.run(args)
     except UnwritablePathError as exc:
         parser.error(str(exc))

@@ -265,58 +265,72 @@ def mask_dtype(width: int):
     return np.uint64 if width <= 64 else object
 
 
-def _mask_bits(masks: np.ndarray, size: int) -> np.ndarray:
+def _mask_bits(masks: np.ndarray, size: int, axis: int = -1) -> np.ndarray:
     """Unpack an integer array of facet masks to its bits along a new last
-    axis of length size (bit k of a mask is the label of facet vertex k)."""
+    axis of length size, then swapped with ``axis`` (bit k of a mask is the
+    label of facet vertex k)."""
     check_masks(masks, size)
+    # each mask's little-endian bytes, bit k of the mask at bit k % 8 of byte k // 8
     if mask_dtype(size) is np.uint64:
-        wide = masks.astype(np.uint64)
-        return ((wide[..., None] >> np.arange(size, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
-    # facets past 64 vertices (m >= 8) only fit Python integers
-    raw = b"".join(int(mask).to_bytes(size // 8, "little") for mask in masks.ravel())
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits.reshape(masks.shape + (size,))
+        raw = masks.astype("<u8", order="C").view(np.uint8).reshape(masks.shape + (8,))
+    else:
+        # facets past 64 vertices (m >= 8) only fit Python integers
+        joined = b"".join(int(mask).to_bytes(size // 8, "little") for mask in masks.ravel())
+        raw = np.frombuffer(joined, dtype=np.uint8).reshape(masks.shape + (size // 8,))
+    return np.unpackbits(raw.swapaxes(-1, axis), axis=axis, count=size, bitorder="little")
 
 
-def _rule_checks(m: int, q: Bits, masks) -> tuple[np.ndarray, np.ndarray]:
-    """The two halves of the win rule for N answers to one question.
+def _rule_checks(m: int, rows: np.ndarray, masks) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of the win rule for N answers, answer n to question n.
 
-    ``masks`` is an (N, m) integer array, row n holding the facet masks of
-    answer n (column i for player i+1); masks wider than 64 bits need an
-    object array of Python integers.  Returns two length-N boolean arrays:
-    every player's parity holds (a popcount per mask), and all players
-    agree on every vertex their facets share (checked vertex by vertex on
-    an (N, 2^m) label grid, not through intersection products).
+    ``rows`` is an (N, m) array of question bits that went through
+    :func:`question_rows` and ``masks`` an (N, m) integer array, row n
+    holding the facet masks of answer n (column i for player i+1); masks
+    wider than 64 bits need an object array of Python integers.  Returns two
+    length-N boolean arrays: every player's parity holds (the XOR of a
+    mask's bits), and all players agree on every vertex their facets share
+    (checked vertex by vertex on an (m, 2^m, N) label grid, not through
+    intersection products).
     """
     validate_dimension(m)
-    [q] = question_rows(m, [q]).tolist()
     masks = mask_array(masks)
-    if masks.ndim != 2 or masks.shape[1] != m:
-        raise ValueError(f"expected an (N, {m}) integer array of masks, got {masks.dtype} {masks.shape}")
-    required = [required_parity(i + 1, q[i]) for i in range(m)]
-    # rows go through in chunks so the label grid stays near _GRID_CELLS bytes
+    if masks.ndim != 2 or masks.shape[1] != m or np.shape(rows) != masks.shape:
+        raise ValueError(f"expected (N, {m}) arrays of questions and masks, got {np.shape(rows)} and {masks.shape}")
+    # required[i, n]: the parity player i+1 owes row n's question
+    parity_rule = np.array([[required_parity(i + 1, bit) for bit in (0, 1)] for i in range(m)])
+    required = parity_rule[np.arange(m)[:, None], rows.T]
+    # rows go through in chunks so the label grid stays near _GRID_CELLS bytes;
+    # rows run along the last axis, so that a row's question selects by broadcasting
     step = max(1, _GRID_CELLS // (m << m))
     parity, agree = [], []
     for start in range(0, max(masks.shape[0], 1), step):
-        bits = _mask_bits(masks[start : start + step], 1 << (m - 1))
-        n = bits.shape[0]
-        parity.append(((bits.sum(axis=2, dtype=np.int64) & 1) == required).all(axis=1))
-        # grid[n, i, e]: 0 if vertex e is off player i+1's facet, 1 for a +1
-        # label, 2 for a -1 label; OR over players gives 3 where two disagree
-        grid = np.zeros((n, m, 1 << m), dtype=np.uint8)
+        chunk = slice(start, start + step)
+        # labels[i, k, n]: bit k of player i+1's mask in row n
+        labels = _mask_bits(masks[chunk].T, 1 << (m - 1), axis=1)
+        n = labels.shape[2]
+        parity.append((np.bitwise_xor.reduce(labels, axis=1) == required[:, chunk]).all(axis=0))
+        # now 1 for a +1 label and 2 for a -1 label
+        labels += np.uint8(1)
+        # on_facet[i, b, n]: 1 where row n asks player i+1 for bit b
+        on_facet = (np.ascontiguousarray(rows[chunk].T)[:, None] == np.arange(2)[:, None]).astype(np.uint8)
+        # grid[i, e, n]: 0 if vertex e is off player i+1's facet, else its
+        # label; OR over players gives 3 where two disagree
+        grid = np.empty((m, 1 << m, n), dtype=np.uint8)
         for i in range(m):
             # facet_slot numbers the facet in increasing vertex order, so the
-            # cube with axis i fixed to q_i takes facet bit k by a strided copy
+            # cube with axis i fixed to q_i takes facet bit k in order and the
+            # other half of the cube gets 0
             high, low = 1 << i, 1 << (m - 1 - i)
-            cube = grid.reshape(n, m, high, 2, low)
-            cube[:, i, :, q[i], :] = bits[:, i].reshape(n, high, low) + 1
-        agree.append((np.bitwise_or.reduce(grid, axis=1) != 3).all(axis=1))
+            np.multiply(labels[i].reshape(high, 1, low, n), on_facet[i, :, None], out=grid[i].reshape(high, 2, low, n))
+        agree.append((np.bitwise_or.reduce(grid, axis=0) != 3).all(axis=0))
     return np.concatenate(parity), np.concatenate(agree)
 
 
 def batch_predicate(m: int, q: Bits, masks) -> np.ndarray:
     """Win bits (uint8) of N answers to question q, given as an (N, m) mask array."""
-    parity, agree = _rule_checks(m, q, masks)
+    row = question_rows(m, [q])
+    masks = mask_array(masks)
+    parity, agree = _rule_checks(m, np.broadcast_to(row, masks.shape[:1] + row.shape[1:]), masks)
     return (parity & agree).astype(np.uint8)
 
 
@@ -343,8 +357,8 @@ def _one_row(answer: Answer) -> np.ndarray:
 
 def consistency_ok(answer: Answer, q: Bits) -> bool:
     """All pairs of players agree on every vertex their facets share."""
-    _check_question(answer, q)
-    return bool(_rule_checks(answer.m, q, _one_row(answer))[1][0])
+    q = _check_question(answer, q)
+    return bool(_rule_checks(answer.m, np.array([q]), _one_row(answer))[1][0])
 
 
 def predicate(answer: Answer, q: Bits) -> int:

@@ -168,11 +168,10 @@ def random_constrained_pairs(dim_half: int, seeds) -> ConstrainedPair:
         raise ValueError("seeds must name at least one seed")
     for seed in seeds:
         check_int(seed, 0, math.inf, "seed")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    # each generator draws its betas, then its phis
-    betas = np.array([rng.uniform(0.0, 1.0, dim_half) for rng in rngs])
-    phis = np.array([rng.uniform(0.0, 2.0 * math.pi, dim_half) for rng in rngs])
-    pair = ConstrainedPair(*_block_stacks(betas, phis))
+    # one draw per generator, its betas and then its phis: the bits of
+    # uniform(0, 1, h) and then uniform(0, 2 pi, h), which compute 0 + high u
+    draws = np.array([np.random.default_rng(seed).random(2 * dim_half) for seed in seeds])
+    pair = ConstrainedPair(*_block_stacks(draws[:, :dim_half], 2.0 * math.pi * draws[:, dim_half:]))
     pair.validate()
     return pair
 
@@ -281,9 +280,14 @@ def verify_converse_chain(strategies, questions, tol: float = IDENTITY_ATOL) -> 
     return True
 
 
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+def random_states(dim: int, rngs) -> np.ndarray:
+    """One random unit state of ``dim`` amplitudes per generator, as a (K, dim)
+    stack.  Each generator makes one standard_normal(2 dim) draw: the real
+    parts, then the imaginary parts."""
+    draws = np.array([rng.standard_normal(2 * dim) for rng in rngs]).reshape(-1, 2 * dim)
+    vecs = draws[:, :dim] + 1j * draws[:, dim:]
+    # a norm per row: the stacked axis=-1 norm sums in another order
+    return vecs / np.array([np.linalg.norm(vec) for vec in vecs])[:, None]
 
 
 def run_lemma2_trials(
@@ -327,7 +331,7 @@ def lemma2_slacks(trials: int, max_dim_half: int, max_power: int, seed: int) -> 
         group = range(first, trials, period)
         powers[group] = power
         for ids in stack_chunks(group, (2 * dim_half) ** 2):
-            psis = np.array([random_state(2 * dim_half, np.random.default_rng((seed + t, 1))) for t in ids])
+            psis = random_states(2 * dim_half, [np.random.default_rng((seed + t, 1)) for t in ids])
             try:
                 pairs = random_constrained_pairs(dim_half, [seed + t for t in ids])
                 slacks[ids] = maximize_r(power).r_star - lemma2_lhs(pairs, psis, power)

@@ -18,6 +18,7 @@ the products with its exact zeros.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Iterable
@@ -125,11 +126,21 @@ def _strategy_list(strategies) -> list[QuantumStrategy]:
     return group
 
 
-def _player_gates(strategies: list[QuantumStrategy], player: int, rows: np.ndarray, entries) -> np.ndarray:
-    """entries(angle) at the player's measurement angle for each (strategy,
+def _gate_table(strategies: list[QuantumStrategy], entries) -> np.ndarray:
+    """entries(angle) at each strategy's measurement angle for every player
+    and question bit, as an (A, m, 2, 2, 2) array: one table per kernel call,
+    which :func:`_player_gates` indexes per player."""
+    m = strategies[0].m
+    angles = (s.angle(p, bit) for s in strategies for p in range(1, m + 1) for bit in (0, 1))
+    # a flat list converts several times faster than the nested one
+    cells = [x for angle in angles for row in entries(angle) for x in row]
+    return np.array(cells, dtype=complex).reshape(len(strategies), m, 2, 2, 2)
+
+
+def _player_gates(table: np.ndarray, player: int, rows: np.ndarray) -> np.ndarray:
+    """The player's gate from a :func:`_gate_table` for each (strategy,
     question) row, strategy-major, as an (A N, 2, 2) stack."""
-    tables = np.array([[entries(s.angle(player, bit)) for bit in (0, 1)] for s in strategies], dtype=complex)
-    return tables[:, rows[:, player - 1]].reshape(-1, 2, 2)
+    return table[:, player - 1, rows[:, player - 1]].reshape(-1, 2, 2)
 
 
 def _grow(gates: np.ndarray, branches: np.ndarray) -> np.ndarray:
@@ -155,11 +166,12 @@ def outcome_distribution(strategies, questions) -> np.ndarray:
     check_amplitudes(n << m)
     # branch c before any gate: the amplitude of |c...c>
     branches = np.broadcast_to(ghz_state(m)[[0, -1], None], (n, 2, 1))
+    table = _gate_table(group, _basis_entries)
     for player in range(1, m):
-        branches = _grow(_player_gates(group, player, rows, _basis_entries), branches).reshape(n, 2, -1)
+        branches = _grow(_player_gates(table, player, rows), branches).reshape(n, 2, -1)
     # the last gate joins the branches on the stack's top qubit, so that qubit
     # is the last player's: |amplitude|^2 moves it back to the low bit
-    psi = apply_single_qubit(branches.reshape(n, -1), _player_gates(group, m, rows, _basis_entries), 0)
+    psi = apply_single_qubit(branches.reshape(n, -1), _player_gates(table, m, rows), 0)
     probs = np.abs(psi.reshape(n, 2, -1).swapaxes(1, 2), out=np.empty((n, 1 << (m - 1), 2)))
     probs **= 2
     return probs.reshape(len(group), rows.shape[0], -1)
@@ -200,11 +212,35 @@ def outcome_to_answer(strategy: QuantumStrategy, q: Bits, o) -> Answer:
 @lru_cache(maxsize=None)
 def _win_table(m: int, q: Bits) -> np.ndarray:
     """Win bit of the answer :func:`outcome_to_answer` gives each of the 2^m
-    outcomes (indexed as in :func:`outcome_distribution`)."""
-    pinned = [[_pinned_mask(m, player, q[player - 1], minus) for minus in (0, 1)] for player in range(1, m + 1)]
-    table = game.win_table(m, q, pinned).reshape(-1)
-    table.setflags(write=False)
-    return table
+    outcomes (indexed as in :func:`outcome_distribution`), as a row of the
+    block of the questions that share q's leading bits."""
+    [q] = game.question_rows(m, [q]).tolist()
+    # the block spans q's last k bits: 2^k questions of 2^m outcomes, at most
+    # 2^10 answers per rule pass
+    lead = m - max(0, min(m, 10 - m))
+    return _win_block(m, tuple(q[:lead]))[game.vertex_index(q[lead:])]
+
+
+# one block per (m, leading bits): as many bytes as the tables it holds
+@lru_cache(maxsize=None)
+def _win_block(m: int, lead: Bits) -> np.ndarray:
+    """:func:`_win_table` for each of the 2^k questions that begin with
+    ``lead``, in ascending order, as a read-only (2^k, 2^m) array from one
+    pass of the win rule."""
+    k = m - len(lead)
+    questions = game.question_rows(m, [lead + tail for tail in itertools.product((0, 1), repeat=k)])
+    # pinned[i, qb, minus]: player i+1's facet mask for question bit qb and outcome sign minus
+    pinned = np.array(
+        [[[_pinned_mask(m, player, qb, minus) for minus in (0, 1)] for qb in (0, 1)] for player in range(1, m + 1)],
+        dtype=game.mask_dtype(1 << (m - 1)),
+    )
+    # outcome index bit m - i is player i's sign, as in outcome_distribution
+    minus = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1
+    masks = pinned[np.arange(m), questions[:, None, :], minus[None]]
+    parity, agree = game._rule_checks(m, np.repeat(questions, 1 << m, axis=0), masks.reshape(-1, m))
+    block = (parity & agree).astype(np.uint8).reshape(1 << k, 1 << m)
+    block.setflags(write=False)
+    return block
 
 
 def winning_probability_simulated(strategies, questions) -> np.ndarray:
@@ -262,10 +298,11 @@ def winning_probability_operator(strategies, questions) -> np.ndarray:
     group = _strategy_list(strategies)
     m = group[0].m
     rows = game.question_rows(m, questions)
-    first = _player_gates(group, 1, rows, _z_entries)
+    table = _gate_table(group, _z_entries)
+    first = _player_gates(table, 1, rows)
     # the sign goes into player i's gates: negating a gate negates its product exactly
     signs = np.tile(np.where(rows[:, :1] & rows, -1.0, 1.0), (len(group), 1))[:, :, None, None]
-    pairs = ((first, signs[:, i - 1] * _player_gates(group, i, rows, _z_entries)) for i in range(2, m + 1))
+    pairs = ((first, signs[:, i - 1] * _player_gates(table, i, rows)) for i in range(2, m + 1))
     products = pair_products(m, len(group) * rows.shape[0], pairs)
     return products.reshape(len(group), rows.shape[0])
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from hcgame import quantum
+from hcgame import game, quantum
 from hcgame.classical import DeterministicStrategy, _candidate_masks
 from hcgame.game import FacetAssignment, answer_from_masks
 
@@ -65,3 +65,27 @@ def maximize_r_grid_per_call(power: int) -> quantum.RMaximum:
             f1 = quantum.r_excess_scaled(x1, power)
     theta = 0.5 * (a + b)
     return quantum.RMaximum(theta, quantum.r_function(theta, power))
+
+
+def lemma2_pair_draws(dim_half: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The betas and phis of one lemma-2 pair, drawn as two uniform calls of
+    one generator: the betas, then the phis."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, dim_half), rng.uniform(0.0, 2.0 * math.pi, dim_half)
+
+
+def random_state_two_draws(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit state from two standard_normal(dim) draws, the real parts and
+    then the imaginary parts, divided by its np.linalg.norm."""
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+def mask_bits_by_shifts(masks: np.ndarray, size: int) -> np.ndarray:
+    """game._mask_bits by shifts: numpy shifts of uint64 masks, Python integer
+    shifts of wider ones."""
+    if game.mask_dtype(size) is np.uint64:
+        wide = masks.astype(np.uint64)
+        return ((wide[..., None] >> np.arange(size, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
+    bits = [[(int(mask) >> k) & 1 for k in range(size)] for mask in masks.ravel()]
+    return np.array(bits, dtype=np.uint8).reshape(masks.shape + (size,))

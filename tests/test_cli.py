@@ -791,7 +791,9 @@ def _assert_unwritable_stdout(child):
 # PYTHONUNBUFFERED set fails the first write; unset (empty) fails the flush of a buffered stdout
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("argv", [["verify", "classical", "--m", "2"], ["values", "--m", "3"]])
+@pytest.mark.parametrize(
+    "argv", [["verify", "classical", "--m", "2"], ["values", "--m", "3"], ["--help"], ["verify", "--help"]]
+)
 def test_a_full_stdout_is_a_usage_error(argv, unbuffered):
     with open("/dev/full", "w", encoding="utf-8") as full:
         child = _child(["-m", "hcgame.cli", *argv], stdout=full, PYTHONUNBUFFERED=unbuffered)

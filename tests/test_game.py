@@ -27,7 +27,7 @@ from hcgame.game import (
 )
 from hcgame.classical import _candidate_masks
 from hcgame.quantum import QuantumStrategy, _pinned_mask, outcome_to_answer
-from oracles import all_answers
+from oracles import all_answers, mask_bits_by_shifts
 
 
 def test_vertex_encoding_roundtrip():
@@ -422,6 +422,77 @@ def test_batch_predicate_in_chunks_equals_one_pass(monkeypatch):
     monkeypatch.setattr(game, "_GRID_CELLS", 3 * m << m)
     assert np.array_equal(batch_predicate(m, q, masks), whole)
     _check_against_reference(m, q, rows)
+
+
+def _mixed_rows(m, rng, count):
+    """Random (question, masks) rows: random masks and masks cut from random
+    labellings of the whole cube, each for a random question."""
+    size = 1 << (m - 1)
+    questions, rows = [], []
+    for _ in range(count):
+        q = tuple(int(b) for b in rng.integers(0, 2, m))
+        rows += [tuple(int(v) for v in rng.integers(0, 1 << size, m))] + _global_rows(m, q, rng, 1)
+        questions += [q, q]
+    return questions, rows
+
+
+def _check_mixed_rows(m, questions, rows):
+    # one call over rows of mixed questions equals one call per question
+    masks = np.array(rows, dtype=np.uint64)
+    parity, agree = game._rule_checks(m, game.question_rows(m, questions), masks)
+    for q in set(questions):
+        mine = [k for k, row_q in enumerate(questions) if row_q == q]
+        own_parity, own_agree = game._rule_checks(m, game.question_rows(m, [q] * len(mine)), masks[mine])
+        assert np.array_equal(parity[mine], own_parity) and np.array_equal(agree[mine], own_agree)
+        assert np.array_equal(batch_predicate(m, q, masks[mine]), (own_parity & own_agree).astype(np.uint8))
+    return parity, agree
+
+
+def test_rule_checks_of_mixed_questions_equal_one_call_per_question(monkeypatch):
+    # exhaustive at m = 2 and 3: every answer to every question, shuffled
+    rng = np.random.default_rng(12)
+    for m in (2, 3):
+        size = 1 << (m - 1)
+        pairs = [(q, row) for q in all_questions(m) for row in itertools.product(range(1 << size), repeat=m)]
+        order = rng.permutation(len(pairs))
+        questions, rows = [pairs[k][0] for k in order], [pairs[k][1] for k in order]
+        parity, agree = _check_mixed_rows(m, questions, rows)
+        assert (parity & agree).tolist() == [bool(_reference_win(m, q, row)) for q, row in zip(questions, rows)]
+    for m in (4, 5, 6):
+        _check_mixed_rows(m, *_mixed_rows(m, rng, 60))
+    # three rows of label grid per chunk: the chunks cut across runs of one question
+    m = 4
+    questions, rows = _mixed_rows(m, rng, 25)
+    whole = game._rule_checks(m, game.question_rows(m, questions), np.array(rows, dtype=np.uint64))
+    monkeypatch.setattr(game, "_GRID_CELLS", 3 * m << m)
+    chunked = _check_mixed_rows(m, questions, rows)
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+
+def test_rule_checks_reject_a_question_count_unlike_the_row_count():
+    masks = np.zeros((3, 2), dtype=np.uint64)
+    for questions in ([(0, 1)] * 2, [(0, 1)] * 4, [(0, 1, 1)] * 3):
+        with pytest.raises(ValueError):
+            game._rule_checks(2, game.question_rows(len(questions[0]), questions), masks)
+
+
+def test_mask_bits_equal_the_shift_oracle():
+    rng = np.random.default_rng(8)
+    for m in range(2, 10):
+        size = 1 << (m - 1)
+        top = (1 << size) - 1
+        edges = [0, 1, top, 1 << (size - 1), top ^ 1]
+        values = edges + [int.from_bytes(rng.bytes(size // 8 or 1), "little") & top for _ in range(40)]
+        masks = np.array(values, dtype=game.mask_dtype(size)).reshape(-1, 5)
+        got = game._mask_bits(masks, size)
+        assert got.dtype == np.uint8 and got.shape == masks.shape + (size,)
+        assert np.array_equal(got, mask_bits_by_shifts(masks, size))
+    # m = 7 masks with bit 63 set, as uint64 and as Python integers
+    for dtype in (np.uint64, object):
+        masks = np.array([[1 << 63, (1 << 64) - 1, 5]], dtype=dtype)
+        assert np.array_equal(game._mask_bits(masks, 64), mask_bits_by_shifts(masks, 64))
+        assert game._mask_bits(masks, 64)[0, 0].tolist() == [0] * 63 + [1]
+    assert game._mask_bits(np.zeros((0, 3), dtype=object), 128).shape == (0, 3, 128)
 
 
 def test_batch_predicate_rejects_bad_input():

@@ -14,7 +14,7 @@ from hcgame.inequalities import (
     induced_edge_observable,
     lemma2_lhs,
     random_constrained_pairs,
-    random_state,
+    random_states,
     lemma2_slacks,
     relaxed_win_bound,
     run_lemma2_trials,
@@ -30,6 +30,7 @@ from hcgame.quantum import (
     winning_probability_simulated,
     z_theta,
 )
+from oracles import lemma2_pair_draws, random_state_two_draws
 
 SQRT2 = math.sqrt(2.0)
 
@@ -267,7 +268,7 @@ def test_pair_from_blocks_edge_cases():
     # with T = 0 the bound is slack: <(I+S)^M> <= 2^M so lhs <= 2^M + 1 <= r*
     rng = np.random.default_rng(9)
     for power in (1, 3, 6):
-        lhs = lemma2_lhs(pair, [random_state(4, rng)], power)[0]
+        lhs = lemma2_lhs(pair, random_states(4, [rng]), power)[0]
         assert lhs <= 2 ** power + 1 + 1e-12
         assert lhs <= maximize_r(power).r_star + 1e-9
     pair = _pair_from_blocks([1.0, 1.0], [0.4, 2.0])
@@ -298,6 +299,62 @@ def test_random_pair_stack_equals_pair_by_pair():
             assert np.array_equal(pairs.t[row], single.t[0])
     with pytest.raises(ValueError):
         random_constrained_pairs(0, seeds)
+
+
+DRAW_SEEDS = [0, 42, 2**32 - 1, 2**32, 2**40, 10**30]
+
+
+def test_one_draw_per_generator_gives_the_bits_of_two(monkeypatch):
+    # random(2h) equals uniform(0, 1, h) then uniform(0, 2 pi, h), and
+    # standard_normal(2d) equals two standard_normal(d) draws, bit for bit
+    real = ineq._block_stacks
+    drawn = []
+
+    def recorded(betas, phis):
+        drawn.append((betas, phis))
+        return real(betas, phis)
+
+    monkeypatch.setattr(ineq, "_block_stacks", recorded)
+    for dim_half in range(1, 9):
+        pairs = random_constrained_pairs(dim_half, DRAW_SEEDS)
+        betas, phis = drawn.pop()
+        oracle = [lemma2_pair_draws(dim_half, seed) for seed in DRAW_SEEDS]
+        assert np.asarray(betas).tobytes() == np.array([b for b, _ in oracle]).tobytes()
+        assert np.asarray(phis).tobytes() == np.array([p for _, p in oracle]).tobytes()
+        want = real(*(np.array(side) for side in zip(*oracle)))
+        assert pairs.s.tobytes() == want[0].tobytes() and pairs.t.tobytes() == want[1].tobytes()
+        states = random_states(2 * dim_half, [np.random.default_rng((seed, 1)) for seed in DRAW_SEEDS])
+        expected = [random_state_two_draws(2 * dim_half, np.random.default_rng((seed, 1))) for seed in DRAW_SEEDS]
+        assert states.tobytes() == np.array(expected).tobytes()
+
+
+def test_lemma2_stacks_draw_the_oracle_bits(monkeypatch):
+    # block counts up to 8 at an odd trial count, with four 16-dimensional
+    # trials per stack: the groups of larger blocks run in several stacks
+    real_lhs = ineq.lemma2_lhs
+    stacks = []
+
+    def recorded(pairs, psis, power):
+        stacks.append((pairs, psis))
+        return real_lhs(pairs, psis, power)
+
+    monkeypatch.setattr(linalg, "STACK_ENTRIES", 1024)
+    monkeypatch.setattr(ineq, "lemma2_lhs", recorded)
+    trials, max_dim_half, max_power, seed = 99, 8, 2, 2**32 - 1
+    lemma2_slacks(trials, max_dim_half, max_power, seed)
+    period = max_dim_half * max_power
+    assert len(stacks) > period
+    # the stacks take the trials group by group, in order
+    order = [t for first in range(period) for t in range(first, trials, period)]
+    for pairs, psis in stacks:
+        ids, order = order[: len(psis)], order[len(psis) :]
+        assert {1 + t % max_dim_half for t in ids} == {pairs.dim // 2}
+        oracle = [lemma2_pair_draws(pairs.dim // 2, seed + t) for t in ids]
+        want = _block_stacks(*(np.array(side) for side in zip(*oracle)))
+        assert pairs.s.tobytes() == want[0].tobytes() and pairs.t.tobytes() == want[1].tobytes()
+        expected = [random_state_two_draws(pairs.dim, np.random.default_rng((seed + t, 1))) for t in ids]
+        assert psis.tobytes() == np.array(expected).tobytes()
+    assert not order
 
 
 @pytest.mark.parametrize(
@@ -433,8 +490,8 @@ def test_lemma2_slacks_equal_the_one_trial_path():
         for t, slack in enumerate(slacks):
             dim_half, power = 1 + t % max_dim_half, 1 + (t // max_dim_half) % max_power
             assert powers[t] == power
-            pair = random_constrained_pairs(dim_half, [seed + t])
-            psi = random_state(2 * dim_half, np.random.default_rng((seed + t, 1)))
+            pair = ConstrainedPair(*_block_stacks(*(draw[None] for draw in lemma2_pair_draws(dim_half, seed + t))))
+            psi = random_state_two_draws(2 * dim_half, np.random.default_rng((seed + t, 1)))
             assert slack == maximize_r(power).r_star - lemma2_lhs(pair, [psi], power)[0]
         report = run_lemma2_trials(trials, max_dim_half, max_power, seed)
         assert report["worst_slack"] == min(slacks.tolist())
@@ -471,7 +528,7 @@ def test_lemma2_slacks_match_a_dense_oracle():
             first = (power - 1) * max_dim_half + d // 2 - 1
             trials = [first, first + max_dim_half * max_power]
             pairs = random_constrained_pairs(d // 2, [seed + t for t in trials])
-            psis = np.array([random_state(d, np.random.default_rng((seed + t, 1))) for t in trials])
+            psis = random_states(d, [np.random.default_rng((seed + t, 1)) for t in trials])
             lhs = lemma2_lhs(pairs, psis, power)
             for value, t in zip(lhs, trials):
                 oracle = _dense_lemma2_lhs(d // 2, seed + t, power)
@@ -502,15 +559,18 @@ def test_lemma2_rejects_states_that_are_not_unit_vectors(psi):
 
 
 def test_lemma2_state_norm_check_names_the_failing_trial(monkeypatch):
-    # the first (dim_half, power) group draws trials 0, 24, 48, ... in turn
-    real = ineq.random_state
+    # the first (dim_half, power) group draws trials 0, 24, 48, ... as one stack
+    real = ineq.random_states
     drawn = []
 
-    def scaled_second(dim, rng):
+    def scaled_second(dim, rngs):
+        states = real(dim, rngs)
+        if not drawn:
+            states[1] *= 1.001
         drawn.append(dim)
-        return real(dim, rng) * (1.001 if len(drawn) == 2 else 1.0)
+        return states
 
-    monkeypatch.setattr(ineq, "random_state", scaled_second)
+    monkeypatch.setattr(ineq, "random_states", scaled_second)
     with pytest.raises(ValueError, match="trial 24: state norm deviates from 1 by 1.000e-03"):
         run_lemma2_trials(100, max_dim_half=4, max_power=6, seed=42)
 
@@ -540,8 +600,8 @@ def test_lemma2_holds_at_the_largest_power():
     for seed in range(40):
         dim_half = 1 + seed % 4
         pair = random_constrained_pairs(dim_half, [seed])
-        psi = random_state(2 * dim_half, np.random.default_rng((seed, 1)))
-        assert lemma2_lhs(pair, [psi], power)[0] <= r_star
+        psi = random_states(2 * dim_half, [np.random.default_rng((seed, 1))])
+        assert lemma2_lhs(pair, psi, power)[0] <= r_star
 
 
 def test_lemma2_sweep_bounds():
@@ -862,5 +922,5 @@ def test_stacked_entry_points_reject_a_bare_item():
 def test_random_state_normalized():
     rng = np.random.default_rng(0)
     for dim in (2, 5, 8):
-        psi = random_state(dim, rng)
-        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        for psi in random_states(dim, [rng, rng, rng]):
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)

@@ -371,14 +371,38 @@ def test_closed_forms_take_integer_arguments_only(fn, bad, good):
 
 
 def test_win_table_matches_predicate_of_each_outcome():
-    # m = 7 fills all 64 bits of a mask; m = 8 needs Python-integer masks
-    cases = [(m, q) for m in range(2, 7) for q in all_questions(m)]
-    cases += [(7, (1, 0, 1, 1, 0, 0, 1)), (8, (1, 0, 1, 1, 0, 0, 1, 0))]
-    for m, q in cases:
-        table = _win_table(m, q)
-        assert not table.flags.writeable
-        expected = [predicate(outcome_to_answer(QuantumStrategy(m, 0.0), q, o), q) for o in _outcomes(m)]
-        assert table.tolist() == expected
+    # every question at m = 2..8: m = 7 fills all 64 bits of a mask and m = 8
+    # needs Python-integer masks; past m = 6 the reference is the one-question
+    # rule pass over the pinned masks, and two questions also go outcome by outcome
+    spot = {(1, 0, 1, 1, 0, 0, 1), (1, 0, 1, 1, 0, 0, 1, 0)}
+    for m in range(2, 9):
+        for q in all_questions(m):
+            table = _win_table(m, q)
+            assert not table.flags.writeable and table.shape == (1 << m,)
+            if m <= 6 or q in spot:
+                expected = [predicate(outcome_to_answer(QuantumStrategy(m, 0.0), q, o), q) for o in _outcomes(m)]
+                assert table.tolist() == expected, q
+            pinned = [[quantum._pinned_mask(m, p, q[p - 1], minus) for minus in (0, 1)] for p in range(1, m + 1)]
+            assert table.tolist() == game.win_table(m, q, pinned).reshape(-1).tolist(), q
+
+
+def test_building_every_m6_win_table_stays_small():
+    # blocks of 16 questions: one pass over all 64 questions peaked at about
+    # 3.7 MB here, a block pass at about 0.95 MB
+    def build():
+        _win_table.cache_clear()
+        quantum._win_block.cache_clear()
+        for q in all_questions(6):
+            _win_table(6, q)
+
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_win_table_cache_holds_every_question_of_a_sweep():
@@ -459,8 +483,9 @@ def _full_stack_distribution(strategies, questions):
     m = strategies[0].m
     rows = np.array(questions, dtype=np.int64)
     psi = np.tile(ghz_state(m), (len(strategies) * len(questions), 1))
+    table = quantum._gate_table(strategies, quantum._basis_entries)
     for player in range(1, m + 1):
-        psi = apply_single_qubit(psi, quantum._player_gates(strategies, player, rows, quantum._basis_entries), player - 1)
+        psi = apply_single_qubit(psi, quantum._player_gates(table, player, rows), player - 1)
     return (np.abs(psi) ** 2).reshape(len(strategies), len(questions), -1)
 
 
@@ -594,10 +619,11 @@ def _operator_loop_with_signs(strategy, questions):
     m = strategy.m
     rows = np.array(questions, dtype=np.int64)
     psi = ghz_state(m)
-    first = quantum._player_gates([strategy], 1, rows, quantum._z_entries)
+    table = quantum._gate_table([strategy], quantum._z_entries)
+    first = quantum._player_gates(table, 1, rows)
     acc = np.tile(psi, (rows.shape[0], 1))
     for i in range(2, m + 1):
-        other = quantum._player_gates([strategy], i, rows, quantum._z_entries)
+        other = quantum._player_gates(table, i, rows)
         sign = np.where(rows[:, 0] & rows[:, i - 1], -1.0, 1.0)[:, None]
         tmp = apply_single_qubit(apply_single_qubit(acc, first, 0), other, i - 1)
         acc = (acc + sign * tmp) / 2.0
